@@ -7,15 +7,19 @@
 //!         [--json PATH] [--baseline PATH]`
 //!
 //! `--json` writes a machine-readable `BENCH_read.json` report (uploaded as
-//! a CI artifact); `--baseline` additionally compares the gated metric —
-//! long-scan rows/s on the tournament stack — against a checked-in baseline
-//! and exits non-zero on a >20% regression.
+//! a CI artifact); `--baseline` additionally compares the gated metrics —
+//! long-scan rows/s, short-scan rows/s and point gets/s on the tournament
+//! stack — against a checked-in baseline and exits non-zero if any of them
+//! regressed by more than 20%.
 
 use laser_bench::read_path::{run_read_path, ReadPathConfig, ReadPathReport};
 use laser_bench::report::{enforce_baseline, write_report, JsonValue};
 
-/// The metric the regression gate watches.
-const GATE_METRIC: &str = "gate_long_scan_rows_per_sec";
+/// The metrics the regression gate watches: streaming merge cost (long
+/// scans), per-seek cost (short scans) and per-probe cost (point gets).
+const GATE_LONG_SCAN: &str = "gate_long_scan_rows_per_sec";
+const GATE_SHORT_SCAN: &str = "gate_short_scan_rows_per_sec";
+const GATE_POINT_GETS: &str = "gate_point_gets_per_sec";
 
 /// Absolute ceiling on the instrumentation overheads (percent): generous
 /// against smoke-run timing noise, but a collapse — e.g. tracing every op
@@ -35,7 +39,7 @@ fn report_json(config: &ReadPathConfig, report: &ReadPathReport) -> JsonValue {
             "new_merge_width",
             JsonValue::Num(report.new_merge_width as f64),
         ),
-        (GATE_METRIC, JsonValue::Num(report.new_long_rows_per_sec)),
+        (GATE_LONG_SCAN, JsonValue::Num(report.new_long_rows_per_sec)),
         (
             "naive_long_rows_per_sec",
             JsonValue::Num(report.naive_long_rows_per_sec),
@@ -45,7 +49,7 @@ fn report_json(config: &ReadPathConfig, report: &ReadPathReport) -> JsonValue {
             JsonValue::Num(report.long_scan_speedup()),
         ),
         (
-            "new_short_rows_per_sec",
+            GATE_SHORT_SCAN,
             JsonValue::Num(report.new_short_rows_per_sec),
         ),
         (
@@ -56,10 +60,7 @@ fn report_json(config: &ReadPathConfig, report: &ReadPathReport) -> JsonValue {
             "short_scan_speedup",
             JsonValue::Num(report.short_scan_speedup()),
         ),
-        (
-            "point_gets_per_sec",
-            JsonValue::Num(report.point_gets_per_sec),
-        ),
+        (GATE_POINT_GETS, JsonValue::Num(report.point_gets_per_sec)),
         (
             "instrumented_point_gets_per_sec",
             JsonValue::Num(report.instrumented_point_gets_per_sec),
@@ -210,12 +211,19 @@ fn main() {
         println!("report: wrote {path}");
     }
     if let Some(baseline) = &baseline_path {
-        match enforce_baseline(&json.render(), std::path::Path::new(baseline), GATE_METRIC) {
-            Ok(summary) => println!("gate: {summary}"),
-            Err(message) => {
-                eprintln!("gate: {message}");
-                std::process::exit(1);
+        let report_text = json.render();
+        let mut tripped = false;
+        for metric in [GATE_LONG_SCAN, GATE_SHORT_SCAN, GATE_POINT_GETS] {
+            match enforce_baseline(&report_text, std::path::Path::new(baseline), metric) {
+                Ok(summary) => println!("gate: {summary}"),
+                Err(message) => {
+                    eprintln!("gate: {message}");
+                    tripped = true;
+                }
             }
+        }
+        if tripped {
+            std::process::exit(1);
         }
     }
 }

@@ -6,8 +6,9 @@
 //!
 //! Both paths scan the *same* windows of the same tree and must produce
 //! byte-identical rows — the equivalence checksum is enforced, the speedup
-//! is reported, and `gate_long_scan_rows_per_sec` is the metric CI gates
-//! against `bench/baselines/BENCH_read.json`.
+//! is reported, and CI gates `gate_long_scan_rows_per_sec`,
+//! `gate_short_scan_rows_per_sec` and `gate_point_gets_per_sec` against
+//! `bench/baselines/BENCH_read.json`.
 //!
 //! The tree is shaped so the naive merge width at full range is well past 8:
 //! several compacted rounds populate the deep levels with many disjoint SSTs
@@ -170,8 +171,8 @@ fn engine_options() -> LsmOptions {
     options.num_levels = 5;
     options.sst_target_size_bytes = 128 << 10;
     options.auto_compact = false;
-    // Decoded blocks stay cached so the comparison measures merge cost, not
-    // repeated block decoding (both paths share the cache).
+    // Every block stays cached so the comparison measures merge cost, not
+    // repeated block reads (both paths share the cache).
     options.block_cache_bytes = 64 << 20;
     options
 }

@@ -123,7 +123,7 @@ pub struct LaserDb {
     /// the write path, manifest-tracked lifecycle.
     wal: SegmentedWal,
     stats: EngineStats,
-    /// Shared decoded-block cache (None when no cache is configured). May be
+    /// Shared block cache (None when no cache is configured). May be
     /// a scoped view of a process-wide cache shared with other engines.
     cache: Option<ScopedCache>,
     /// Registered background scheduler handle; set once by

@@ -155,6 +155,12 @@ impl FragmentSource for RowSource {
 /// tombstone. Within a level there is at most one version per key per CG
 /// (Section 4.4), but the implementation tolerates duplicates by letting the
 /// newest version of each column win.
+///
+/// A stitched version is never reported as `Full`: a column group's `Full`
+/// record completes that group only, and the children are just the groups of
+/// this level that the scan opened, so another group of the row may sit a
+/// level deeper. The [`LevelMergingIterator`] therefore stops descending only
+/// once the projection is covered, exactly as point reads do.
 pub struct ColumnMergingIterator {
     children: Vec<RowSource>,
 }
@@ -190,41 +196,26 @@ impl FragmentSource for ColumnMergingIterator {
         let mut combined = RowFragment::empty();
         let mut newest_seq = 0;
         let mut any_tombstone = false;
-        // The stitched version counts as `Full` only if *every* CG run of the
-        // level produced a complete fragment for this key.
-        let mut all_full = true;
         let mut contributed = false;
         for child in &mut self.children {
             if child.current_key() != Some(key) {
-                all_full = false;
                 continue;
             }
-            let versions = child.take_versions()?;
-            let mut child_covered = false;
-            for v in versions {
+            for v in child.take_versions()? {
                 newest_seq = newest_seq.max(v.seq);
+                contributed = true;
                 match v.kind {
                     ValueKind::Tombstone => {
                         any_tombstone = true;
-                        contributed = true;
-                        child_covered = true;
                         // Older values within this child are dead.
                         break;
                     }
                     ValueKind::Full => {
                         combined.fill_missing_from(&v.fragment);
-                        contributed = true;
-                        child_covered = true;
                         break;
                     }
-                    ValueKind::Partial => {
-                        combined.fill_missing_from(&v.fragment);
-                        contributed = true;
-                    }
+                    ValueKind::Partial => combined.fill_missing_from(&v.fragment),
                 }
-            }
-            if !child_covered {
-                all_full = false;
             }
         }
         if !contributed {
@@ -232,8 +223,6 @@ impl FragmentSource for ColumnMergingIterator {
         }
         let kind = if any_tombstone {
             ValueKind::Tombstone
-        } else if all_full {
-            ValueKind::Full
         } else {
             ValueKind::Partial
         };
@@ -510,7 +499,11 @@ mod tests {
         let v = cmi.take_versions().unwrap();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].fragment, frag(&[(0, 1), (1, 2), (2, 3), (3, 4)]));
-        assert_eq!(v[0].kind, ValueKind::Full);
+        assert_eq!(
+            v[0].kind,
+            ValueKind::Partial,
+            "a stitched version never ends the descent by kind"
+        );
         assert_eq!(cmi.current_key(), Some(11));
         let v = cmi.take_versions().unwrap();
         assert_eq!(v[0].fragment, frag(&[(0, 5), (1, 6)]));

@@ -32,7 +32,7 @@ pub struct LaserOptions {
     /// Ignored while a background maintenance scheduler is attached — the
     /// scheduler then owns compaction.
     pub auto_compact: bool,
-    /// Capacity of the shared decoded-block cache in bytes; 0 disables it.
+    /// Capacity of the shared block cache in bytes; 0 disables it.
     pub block_cache_bytes: usize,
     /// With background maintenance attached: Level-0 file count (including
     /// frozen memtables awaiting flush) at which writers briefly yield.

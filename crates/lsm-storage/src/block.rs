@@ -134,7 +134,9 @@ fn shared_prefix_len(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 
-/// A decoded data block supporting iteration and seek.
+/// An encoded data block plus its parsed restart array. Entries are never
+/// materialised: readers walk the encoded bytes in place through a
+/// [`BlockIter`] (the table iterator through an owned cursor).
 #[derive(Debug, Clone)]
 pub struct Block {
     data: Vec<u8>,
@@ -173,14 +175,12 @@ impl Block {
     pub fn iter(&self) -> BlockIter<'_> {
         BlockIter {
             block: self,
-            offset: 0,
-            key: Vec::new(),
-            value_range: (0, 0),
-            valid: false,
+            cursor: BlockCursor::default(),
         }
     }
 
-    /// Returns all entries as owned pairs (mainly for tests).
+    /// Returns all entries as owned pairs.
+    #[cfg(test)]
     pub fn entries(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::new();
         let mut it = self.iter();
@@ -197,65 +197,70 @@ impl Block {
         self.data.len()
     }
 
-    fn restart_key(&self, restart_idx: usize) -> Result<(Vec<u8>, usize)> {
-        // Returns the full key at a restart point and the offset just past the
-        // entry header (i.e. ready to continue parsing that entry's value).
+    /// Heap bytes the block holds: its encoded bytes plus the parsed restart
+    /// array. This is what the block cache charges for it.
+    pub fn heap_bytes(&self) -> usize {
+        self.data.len() + self.restarts.len() * std::mem::size_of::<u32>()
+    }
+
+    /// The full key stored at a restart point, borrowed from the block.
+    fn restart_key(&self, restart_idx: usize) -> Result<&[u8]> {
         let offset = self.restarts[restart_idx] as usize;
         let mut d = Decoder::new(&self.data[offset..self.entries_end]);
-        let shared = d.varint32()? as usize;
+        let shared = d.varint32()?;
         let non_shared = d.varint32()? as usize;
-        let _value_len = d.varint32()? as usize;
+        let _value_len = d.varint32()?;
         if shared != 0 {
             return Err(Error::corruption(
                 "restart entry has non-zero shared prefix",
             ));
         }
-        let key = d.bytes(non_shared)?.to_vec();
-        Ok((key, offset))
+        d.bytes(non_shared)
     }
 }
 
-/// An iterator over the entries of a [`Block`].
-#[derive(Debug, Clone)]
-pub struct BlockIter<'a> {
-    block: &'a Block,
+/// The position of a walk over a [`Block`], detached from the block borrow so
+/// that an owner of an `Arc<Block>` (the table iterator) can hold both. Every
+/// call must be handed the block the cursor was last positioned in.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockCursor {
     /// Offset of the *next* entry to parse.
     offset: usize,
+    /// The current key, rebuilt from the shared prefix; the buffer is reused
+    /// from entry to entry.
     key: Vec<u8>,
     value_range: (usize, usize),
     valid: bool,
 }
 
-impl<'a> BlockIter<'a> {
-    /// Positions the iterator at the first entry.
-    pub fn seek_to_first(&mut self) -> Result<()> {
+impl BlockCursor {
+    /// Positions the cursor at the first entry.
+    pub(crate) fn seek_to_first(&mut self, block: &Block) -> Result<()> {
         self.offset = 0;
         self.key.clear();
-        self.valid = false;
-        self.next_entry()
+        self.next_entry(block)
     }
 
-    /// Positions the iterator at the first entry whose key is >= `target`.
-    pub fn seek(&mut self, target: &[u8]) -> Result<()> {
-        // Binary search restart points for the last restart whose key <= target.
+    /// Positions the cursor at the first entry whose key is >= `target`.
+    pub(crate) fn seek(&mut self, block: &Block, target: &[u8]) -> Result<()> {
+        self.valid = false;
+        // Binary search for the last restart point whose key is <= target,
+        // comparing the keys where they lie in the block.
         let mut lo = 0usize;
-        let mut hi = self.block.restarts.len();
+        let mut hi = block.restarts.len();
         while lo < hi {
-            let mid = (lo + hi) / 2;
-            let (key, _) = self.block.restart_key(mid)?;
-            if key.as_slice() <= target {
+            let mid = lo + (hi - lo) / 2;
+            if block.restart_key(mid)? <= target {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        let restart = lo.saturating_sub(1);
-        self.offset = self.block.restarts[restart] as usize;
+        self.offset = lo.checked_sub(1).map_or(0, |r| block.restarts[r] as usize);
         self.key.clear();
-        self.valid = false;
         // Linear scan from the restart point.
         loop {
-            self.next_entry()?;
+            self.next_entry(block)?;
             if !self.valid || self.key.as_slice() >= target {
                 return Ok(());
             }
@@ -263,25 +268,38 @@ impl<'a> BlockIter<'a> {
     }
 
     /// Advances to the next entry. After the last entry, `valid()` becomes false.
-    pub fn next_entry(&mut self) -> Result<()> {
-        if self.offset >= self.block.entries_end {
-            self.valid = false;
-            return Ok(());
-        }
-        let mut d = Decoder::new(&self.block.data[self.offset..self.block.entries_end]);
-        let shared = d.varint32()? as usize;
-        let non_shared = d.varint32()? as usize;
-        let value_len = d.varint32()? as usize;
+    pub(crate) fn next_entry(&mut self, block: &Block) -> Result<()> {
+        self.valid = false;
+        let entries = &block.data[..block.entries_end];
+        let rest = match entries.get(self.offset..) {
+            Some(rest) if !rest.is_empty() => rest,
+            _ => return Ok(()),
+        };
+        // Three lengths below 128 (short keys, narrow column-group values)
+        // are three single-byte varints: skip the general decoder.
+        let (shared, non_shared, value_len, header_len) = match *rest {
+            [a, b, c, ..] if (a | b | c) < 0x80 => (a as usize, b as usize, c as usize, 3),
+            _ => {
+                let mut d = Decoder::new(rest);
+                (
+                    d.varint32()? as usize,
+                    d.varint32()? as usize,
+                    d.varint32()? as usize,
+                    d.position(),
+                )
+            }
+        };
         if shared > self.key.len() {
             return Err(Error::corruption("shared prefix longer than previous key"));
         }
-        self.key.truncate(shared);
-        self.key.extend_from_slice(d.bytes(non_shared)?);
-        let value_start = self.offset + d.position();
+        let value_start = self.offset + header_len + non_shared;
         let value_end = value_start + value_len;
-        if value_end > self.block.entries_end {
-            return Err(Error::corruption("block entry value overflows block"));
-        }
+        let suffix = entries
+            .get(self.offset + header_len..value_start)
+            .filter(|_| value_end <= entries.len())
+            .ok_or_else(|| Error::corruption("block entry overflows block"))?;
+        self.key.truncate(shared);
+        self.key.extend_from_slice(suffix);
         self.value_range = (value_start, value_end);
         self.offset = value_end;
         self.valid = true;
@@ -289,20 +307,59 @@ impl<'a> BlockIter<'a> {
     }
 
     /// Returns true while positioned on a valid entry.
-    pub fn valid(&self) -> bool {
+    pub(crate) fn valid(&self) -> bool {
         self.valid
     }
 
-    /// The current entry's key. Panics if not valid.
-    pub fn key(&self) -> &[u8] {
+    /// The current entry's key.
+    pub(crate) fn key(&self) -> &[u8] {
         debug_assert!(self.valid);
         &self.key
     }
 
-    /// The current entry's value. Panics if not valid.
-    pub fn value(&self) -> &[u8] {
+    /// The current entry's value, borrowed from `block`.
+    pub(crate) fn value<'b>(&self, block: &'b Block) -> &'b [u8] {
         debug_assert!(self.valid);
-        &self.block.data[self.value_range.0..self.value_range.1]
+        &block.data[self.value_range.0..self.value_range.1]
+    }
+}
+
+/// An iterator over the entries of a [`Block`].
+#[derive(Debug, Clone)]
+pub struct BlockIter<'a> {
+    block: &'a Block,
+    cursor: BlockCursor,
+}
+
+impl<'a> BlockIter<'a> {
+    /// Positions the iterator at the first entry.
+    pub fn seek_to_first(&mut self) -> Result<()> {
+        self.cursor.seek_to_first(self.block)
+    }
+
+    /// Positions the iterator at the first entry whose key is >= `target`.
+    pub fn seek(&mut self, target: &[u8]) -> Result<()> {
+        self.cursor.seek(self.block, target)
+    }
+
+    /// Advances to the next entry. After the last entry, `valid()` becomes false.
+    pub fn next_entry(&mut self) -> Result<()> {
+        self.cursor.next_entry(self.block)
+    }
+
+    /// Returns true while positioned on a valid entry.
+    pub fn valid(&self) -> bool {
+        self.cursor.valid()
+    }
+
+    /// The current entry's key. Panics if not valid.
+    pub fn key(&self) -> &[u8] {
+        self.cursor.key()
+    }
+
+    /// The current entry's value. Panics if not valid.
+    pub fn value(&self) -> &'a [u8] {
+        self.cursor.value(self.block)
     }
 }
 

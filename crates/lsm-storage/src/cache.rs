@@ -1,10 +1,12 @@
-//! A sharded LRU cache for decoded SST data blocks.
+//! A sharded LRU cache for SST data blocks.
 //!
-//! Point lookups and scans spend most of their time fetching and decoding
+//! Point lookups and scans spend most of their time fetching and verifying
 //! 4 KiB data blocks. The [`BlockCache`] keeps recently-used blocks in memory
-//! in *decoded* form (the sorted entry vector), so a hot read skips both the
-//! storage backend and the restart-point decode. One cache is shared by every
-//! SST of an engine (and may be shared across engines).
+//! in *encoded* form ([`Block`]: the checksummed bytes plus the parsed restart
+//! array), so a hot read skips the storage backend and the checksum, and
+//! seeks inside the block in place. A block is charged what it holds, so a
+//! budget of N bytes caches about N bytes of SST. One cache is shared by
+//! every SST of an engine (and may be shared across engines).
 //!
 //! Keys are `(table_id, block_idx)` where `table_id` is a process-unique id
 //! handed out by [`BlockCache::register_table`] each time an SST is opened.
@@ -25,16 +27,11 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-/// A decoded data block: the sorted `(internal key, value)` entries.
-pub type CachedBlock = Arc<Vec<(Vec<u8>, Vec<u8>)>>;
+use crate::block::Block;
 
-/// Fixed bookkeeping weight charged per cached block, on top of payload.
-const ENTRY_OVERHEAD: usize = 64;
-
-/// Weight charged per `(key, value)` pair inside a block: two `Vec` headers
-/// plus allocator slack. Without this, small-entry blocks would under-charge
-/// their real heap cost severalfold.
-const PAIR_OVERHEAD: usize = 64;
+/// Fixed bookkeeping weight charged per cached block, on top of
+/// [`Block::heap_bytes`].
+pub const ENTRY_OVERHEAD: usize = 64;
 
 /// Cache key: `(table registration id, data block index)`.
 type Key = (u64, u32);
@@ -44,7 +41,7 @@ type Key = (u64, u32);
 pub type ScopeId = u32;
 
 struct Entry {
-    data: CachedBlock,
+    data: Arc<Block>,
     weight: usize,
     /// Accounting scope of the table this block belongs to.
     scope: ScopeId,
@@ -74,18 +71,21 @@ impl Shard {
         }
     }
 
+    /// Drops every occurrence of a key but its newest, in place: an entry's
+    /// `queue_refs` counts its occurrences, so walking from the oldest end
+    /// each occurrence met while the count is above one is a stale duplicate.
+    /// It allocates nothing, so a cache hit never does once the queue has
+    /// grown to its bound.
     fn compact_queue(&mut self) {
-        let mut seen: HashMap<Key, ()> = HashMap::with_capacity(self.map.len());
-        let mut fresh: VecDeque<Key> = VecDeque::with_capacity(self.map.len());
-        for &key in self.queue.iter().rev() {
-            if let Some(entry) = self.map.get_mut(&key) {
-                if seen.insert(key, ()).is_none() {
-                    entry.queue_refs = 1;
-                    fresh.push_front(key);
-                }
+        let map = &mut self.map;
+        self.queue.retain(|key| match map.get_mut(key) {
+            Some(entry) if entry.queue_refs > 1 => {
+                entry.queue_refs -= 1;
+                false
             }
-        }
-        self.queue = fresh;
+            Some(_) => true,
+            None => false,
+        });
     }
 
     /// Evicts least-recently-used entries until `used_bytes <= capacity`,
@@ -156,7 +156,7 @@ impl BlockCacheStats {
     }
 }
 
-/// A sharded LRU cache of decoded SST data blocks, shared via `Arc`.
+/// A sharded LRU cache of encoded SST data blocks, shared via `Arc`.
 pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
     shard_capacity: usize,
@@ -196,7 +196,7 @@ impl BlockCache {
     /// without fragmenting small capacities.
     const DEFAULT_SHARDS: usize = 8;
 
-    /// Creates a cache holding roughly `capacity_bytes` of decoded blocks.
+    /// Creates a cache holding roughly `capacity_bytes` of data blocks.
     pub fn new(capacity_bytes: usize) -> Arc<Self> {
         Self::with_shards(capacity_bytes, Self::DEFAULT_SHARDS)
     }
@@ -353,7 +353,7 @@ impl BlockCache {
     }
 
     /// Looks up a block, updating recency and hit/miss counters.
-    pub fn get(&self, table_id: u64, block_idx: u32) -> Option<CachedBlock> {
+    pub fn get(&self, table_id: u64, block_idx: u32) -> Option<Arc<Block>> {
         let key = (table_id, block_idx);
         let mut shard = self.shard(&key).lock();
         match shard.map.get(&key).map(|e| (Arc::clone(&e.data), e.scope)) {
@@ -375,13 +375,9 @@ impl BlockCache {
         }
     }
 
-    /// Inserts a decoded block, evicting LRU entries if over capacity.
-    pub fn insert(&self, table_id: u64, block_idx: u32, data: CachedBlock) {
-        let weight: usize = data
-            .iter()
-            .map(|(k, v)| k.len() + v.len() + PAIR_OVERHEAD)
-            .sum::<usize>()
-            + ENTRY_OVERHEAD;
+    /// Inserts a block, evicting LRU entries if over capacity.
+    pub fn insert(&self, table_id: u64, block_idx: u32, data: Arc<Block>) {
+        let weight = data.heap_bytes() + ENTRY_OVERHEAD;
         let scope = self.scope_of(table_id);
         let key = (table_id, block_idx);
         let scope_used = self.scope_used.read();
@@ -511,14 +507,19 @@ impl ScopedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockBuilder;
 
-    fn block(bytes: usize) -> CachedBlock {
-        Arc::new(vec![(vec![0u8; bytes / 2], vec![0u8; bytes - bytes / 2])])
+    /// A one-entry block whose value is `bytes` long.
+    fn block(bytes: usize) -> Arc<Block> {
+        let mut builder = BlockBuilder::new();
+        builder.add(b"k", &vec![0u8; bytes]).unwrap();
+        Arc::new(Block::decode(builder.finish()).unwrap())
     }
 
-    /// The charged weight of a single-pair `block(bytes)`.
+    /// The charged weight of `block(bytes)`: its encoded bytes, its parsed
+    /// restart array and the fixed per-entry overhead.
     fn block_weight(bytes: usize) -> usize {
-        bytes + PAIR_OVERHEAD + ENTRY_OVERHEAD
+        block(bytes).heap_bytes() + ENTRY_OVERHEAD
     }
 
     #[test]
@@ -551,6 +552,34 @@ mod tests {
         assert!(cache.get(t, 0).is_some(), "recently-touched entry survives");
         assert!(cache.get(t, 3).is_some());
         assert!(cache.stats().evictions >= 1);
+    }
+
+    #[test]
+    fn queue_compaction_keeps_lru_order() {
+        let cache = BlockCache::with_shards(3 * block_weight(1000), 1);
+        let t = cache.register_table();
+        for idx in 0..3 {
+            cache.insert(t, idx, block(1000));
+        }
+        // Enough hits on one block to compact the recency queue many times.
+        for _ in 0..500 {
+            assert!(cache.get(t, 0).is_some());
+        }
+        assert!(cache.get(t, 2).is_some());
+        // Recency is now 1 < 0 < 2: two inserts evict 1, then 0.
+        cache.insert(t, 3, block(1000));
+        assert!(cache.get(t, 1).is_none());
+        cache.insert(t, 4, block(1000));
+        assert!(
+            cache.get(t, 0).is_none(),
+            "stale duplicates kept block 0 alive"
+        );
+        for idx in 2..5 {
+            assert!(
+                cache.get(t, idx).is_some(),
+                "block {idx} evicted out of order"
+            );
+        }
     }
 
     #[test]

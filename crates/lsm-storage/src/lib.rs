@@ -26,7 +26,7 @@
 //! * [`storage`] — pluggable backends: durable files, instrumented in-memory
 //!   storage (counts 4 KiB-block I/O, matching the paper's cost model), and a
 //!   fault-injecting wrapper for failure testing.
-//! * [`cache`] — a sharded LRU cache of decoded data blocks, shared across
+//! * [`cache`] — a sharded LRU cache of encoded data blocks, shared across
 //!   all SSTs of an engine so hot reads skip the storage backend.
 //! * [`maintenance`] — the background maintenance subsystem: a
 //!   [`maintenance::JobScheduler`] worker pool running flush/compaction jobs

@@ -13,19 +13,22 @@
 //! ```
 //!
 //! Index blocks and bloom filters are assumed to be cached in memory, exactly
-//! as the paper assumes in its cost analysis (Section 2.1).
+//! as the paper assumes in its cost analysis (Section 2.1): [`Table::open`]
+//! parses both once and keeps them resident, so a probe costs one binary
+//! search of the index plus one data block, which is read in its encoded form
+//! (from the block cache when attached) and searched in place.
 
 use std::sync::Arc;
 
-use crate::block::{Block, BlockBuilder};
+use crate::block::{Block, BlockBuilder, BlockCursor};
 use crate::bloom::{BloomFilter, BloomFilterBuilder};
-use crate::cache::{BlockCache, CachedBlock, ScopedCache};
+use crate::cache::{BlockCache, ScopedCache};
 use crate::checksum::crc32;
-use crate::coding::{put_u32, put_u64, Decoder};
+use crate::coding::{get_u32, put_u32, put_u64, Decoder};
 use crate::error::{Error, Result};
 use crate::iterator::KvIterator;
 use crate::storage::{RandomAccessFile, StorageRef, WritableFile};
-use crate::types::{InternalKey, UserKey};
+use crate::types::{InternalKey, UserKey, INTERNAL_KEY_LEN};
 
 /// Magic number identifying an SST footer.
 const SST_MAGIC: u64 = 0x4C41_5345_5253_5354; // "LASERSST"
@@ -53,6 +56,15 @@ impl BlockHandle {
             offset: d.u64()?,
             size: d.u64()?,
         })
+    }
+
+    /// True if the block and its trailing checksum lie inside a file of
+    /// `file_size` bytes.
+    fn fits_in(&self, file_size: u64) -> bool {
+        self.offset
+            .checked_add(self.size)
+            .and_then(|end| end.checked_add(4))
+            .is_some_and(|end| end <= file_size)
     }
 }
 
@@ -298,10 +310,41 @@ impl TableBuilder {
 // Reader
 // ---------------------------------------------------------------------------
 
+/// One entry of a table's resident index: the last key of a data block and
+/// where the block lies in the file.
+#[derive(Debug, Clone, Copy)]
+struct IndexEntry {
+    last_key: [u8; INTERNAL_KEY_LEN],
+    handle: BlockHandle,
+}
+
+/// Parses an index block into its resident form. Every entry must carry an
+/// encoded internal key and a handle that lies inside the file.
+fn parse_index(block: &Block, file_size: u64) -> Result<Vec<IndexEntry>> {
+    let mut index = Vec::new();
+    let mut it = block.iter();
+    it.seek_to_first()?;
+    while it.valid() {
+        let last_key = it
+            .key()
+            .try_into()
+            .map_err(|_| Error::corruption("sst index key is not an internal key"))?;
+        let handle = BlockHandle::decode(&mut Decoder::new(it.value()))?;
+        if !handle.fits_in(file_size) {
+            return Err(Error::corruption("sst index entry points outside the file"));
+        }
+        index.push(IndexEntry { last_key, handle });
+        it.next_entry()?;
+    }
+    Ok(index)
+}
+
 /// An open, immutable SST.
 pub struct Table {
     file: Box<dyn RandomAccessFile>,
-    index: Block,
+    /// The index block, parsed once at open: one entry per data block, in
+    /// key order.
+    index: Vec<IndexEntry>,
     bloom: BloomFilter,
     props: TableProperties,
     name: String,
@@ -349,18 +392,21 @@ impl Table {
         }
         let footer_buf = file.read_at(file_size - FOOTER_SIZE as u64, FOOTER_SIZE)?;
         let footer = Footer::decode(&footer_buf)?;
-        let index_data = read_verified_block(file.as_ref(), footer.index_handle)?;
-        let index = Block::decode(index_data)?;
+        if !footer.index_handle.fits_in(file_size) || !footer.bloom_handle.fits_in(file_size) {
+            return Err(Error::corruption(format!(
+                "sst {name} footer points outside the file"
+            )));
+        }
+        let index_block = Block::decode(read_verified_block(file.as_ref(), footer.index_handle)?)?;
+        let index = parse_index(&index_block, file_size)?;
         let bloom_data = read_verified_block(file.as_ref(), footer.bloom_handle)?;
         let bloom = BloomFilter::decode(&bloom_data)?;
-        let num_data_blocks = index.entries()?.len() as u64;
         let cache = cache.map(|c| {
             let id = c.register_table();
             (Arc::clone(c.cache()), id)
         });
         Ok(Arc::new(Table {
             file,
-            index,
             bloom,
             cache,
             props: TableProperties {
@@ -368,10 +414,11 @@ impl Table {
                 min_user_key: footer.min_user_key,
                 max_user_key: footer.max_user_key,
                 file_size,
-                num_data_blocks,
+                num_data_blocks: index.len() as u64,
                 min_seq: footer.min_seq,
                 max_seq: footer.max_seq,
             },
+            index,
             name: name.to_string(),
         }))
     }
@@ -407,22 +454,28 @@ impl Table {
         self.props.min_user_key < lo || self.props.max_user_key > hi
     }
 
-    fn read_data_block(&self, handle: BlockHandle) -> Result<Block> {
-        Block::decode(read_verified_block(self.file.as_ref(), handle)?)
+    /// Index of the first data block whose last key is >= `target`: the only
+    /// block that can hold the first entry at or after `target`. Equals the
+    /// number of blocks when `target` is past the table's last key.
+    fn block_for(&self, target: &[u8]) -> usize {
+        self.index
+            .partition_point(|entry| entry.last_key.as_slice() < target)
     }
 
-    /// Returns the decoded entries of data block `idx`, consulting the shared
-    /// block cache first when one is attached.
-    fn block_entries(&self, idx: usize, handle: BlockHandle) -> Result<CachedBlock> {
+    /// Returns data block `idx`, consulting the shared block cache first when
+    /// one is attached.
+    fn block(&self, idx: usize) -> Result<Arc<Block>> {
         if let Some((cache, id)) = &self.cache {
-            if let Some(entries) = cache.get(*id, idx as u32) {
-                return Ok(entries);
+            if let Some(block) = cache.get(*id, idx as u32) {
+                return Ok(block);
             }
-            let entries: CachedBlock = Arc::new(self.read_data_block(handle)?.entries()?);
-            cache.insert(*id, idx as u32, Arc::clone(&entries));
-            return Ok(entries);
         }
-        Ok(Arc::new(self.read_data_block(handle)?.entries()?))
+        let data = read_verified_block(self.file.as_ref(), self.index[idx].handle)?;
+        let block = Arc::new(Block::decode(data)?);
+        if let Some((cache, id)) = &self.cache {
+            cache.insert(*id, idx as u32, Arc::clone(&block));
+        }
+        Ok(block)
     }
 }
 
@@ -498,154 +551,117 @@ impl TableHandle {
     }
 }
 
+/// Reads a block and checks its trailing checksum, returning the contents
+/// in the buffer they were read into.
 fn read_verified_block(file: &dyn RandomAccessFile, handle: BlockHandle) -> Result<Vec<u8>> {
-    let buf = file.read_at(handle.offset, handle.size as usize + 4)?;
-    if buf.len() != handle.size as usize + 4 {
+    let size = handle.size as usize;
+    let mut buf = file.read_at(handle.offset, size + 4)?;
+    if buf.len() != size + 4 {
         return Err(Error::corruption("short read for block"));
     }
-    let (contents, trailer) = buf.split_at(handle.size as usize);
-    let stored = crate::coding::get_u32(trailer)?;
-    let actual = crc32(contents);
+    let stored = get_u32(&buf[size..])?;
+    buf.truncate(size);
+    let actual = crc32(&buf);
     if stored != actual {
         return Err(Error::corruption(format!(
             "block checksum mismatch at offset {}: stored {stored:#x} computed {actual:#x}",
             handle.offset
         )));
     }
-    Ok(contents.to_vec())
+    Ok(buf)
 }
 
 // ---------------------------------------------------------------------------
 // Iterator
 // ---------------------------------------------------------------------------
 
-/// Iterates all entries of a table in key order, loading one data block at a
-/// time. Entries of the current block are decoded eagerly so advancing is
-/// O(1) and seeking within a block is a binary search.
+/// Iterates all entries of a table in key order, holding one encoded data
+/// block at a time (shared with the block cache) and walking it in place:
+/// creating one costs nothing, a seek is a binary search of the table's
+/// resident index plus a restart-point search inside one block, and
+/// advancing within a block neither allocates nor copies a value.
 pub struct TableIterator {
     table: Arc<Table>,
-    index_entries: Vec<(Vec<u8>, BlockHandle)>,
-    current_block_idx: usize,
-    /// Decoded entries of the current block (shared with the block cache).
-    current_entries: CachedBlock,
-    /// Position of the current entry within `current_entries`.
-    entry_idx: usize,
-    valid: bool,
-    /// Number of data blocks materialised (cache hits included; for I/O
-    /// accounting in tests).
-    pub blocks_loaded: usize,
+    /// Index of the data block the cursor is in.
+    block_idx: usize,
+    /// The data block the cursor is in; `None` when not positioned.
+    block: Option<Arc<Block>>,
+    cursor: BlockCursor,
 }
 
 impl TableIterator {
     /// Creates an iterator positioned before the first entry.
     pub fn new(table: Arc<Table>) -> Self {
-        let index_entries = table
-            .index
-            .entries()
-            .unwrap_or_default()
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let mut d = Decoder::new(&v);
-                BlockHandle::decode(&mut d).ok().map(|h| (k, h))
-            })
-            .collect();
         TableIterator {
             table,
-            index_entries,
-            current_block_idx: 0,
-            current_entries: Arc::new(Vec::new()),
-            entry_idx: 0,
-            valid: false,
-            blocks_loaded: 0,
+            block_idx: 0,
+            block: None,
+            cursor: BlockCursor::default(),
         }
     }
 
-    fn load_block(&mut self, idx: usize) -> Result<bool> {
-        if idx >= self.index_entries.len() {
-            self.current_entries = Arc::new(Vec::new());
-            self.valid = false;
-            return Ok(false);
+    /// Positions on the first entry of the first non-empty block at or after
+    /// `idx`, or nowhere if there is none.
+    fn first_entry_from(&mut self, mut idx: usize) -> Result<()> {
+        self.block = None;
+        while idx < self.table.index.len() {
+            let block = self.table.block(idx)?;
+            self.cursor.seek_to_first(&block)?;
+            if self.cursor.valid() {
+                self.block_idx = idx;
+                self.block = Some(block);
+                return Ok(());
+            }
+            idx += 1;
         }
-        let handle = self.index_entries[idx].1;
-        self.current_entries = self.table.block_entries(idx, handle)?;
-        self.blocks_loaded += 1;
-        self.current_block_idx = idx;
-        self.entry_idx = 0;
-        Ok(true)
+        Ok(())
     }
 }
 
 impl KvIterator for TableIterator {
     fn seek_to_first(&mut self) -> Result<()> {
-        self.valid = false;
-        if self.load_block(0)? && !self.current_entries.is_empty() {
-            self.entry_idx = 0;
-            self.valid = true;
-        }
-        Ok(())
+        self.first_entry_from(0)
     }
 
     fn seek(&mut self, target: &[u8]) -> Result<()> {
-        self.valid = false;
-        // Binary search the index for the first block whose last key >= target.
-        let mut lo = 0usize;
-        let mut hi = self.index_entries.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.index_entries[mid].0.as_slice() < target {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo >= self.index_entries.len() || !self.load_block(lo)? {
+        self.block = None;
+        let idx = self.table.block_for(target);
+        if idx == self.table.index.len() {
             return Ok(());
         }
-        // Binary search within the decoded block for the first key >= target.
-        let pos = self
-            .current_entries
-            .partition_point(|(k, _)| k.as_slice() < target);
-        if pos < self.current_entries.len() {
-            self.entry_idx = pos;
-            self.valid = true;
-        } else {
-            // Target is past the end of this block; move to the next block.
-            let next = self.current_block_idx + 1;
-            if self.load_block(next)? && !self.current_entries.is_empty() {
-                self.entry_idx = 0;
-                self.valid = true;
-            }
+        let block = self.table.block(idx)?;
+        self.cursor.seek(&block, target)?;
+        if self.cursor.valid() {
+            self.block_idx = idx;
+            self.block = Some(block);
+            return Ok(());
         }
-        Ok(())
+        // Only an index key larger than its block's last key gets here.
+        self.first_entry_from(idx + 1)
     }
 
     fn next(&mut self) -> Result<()> {
-        if !self.valid {
+        let Some(block) = &self.block else {
+            return Ok(());
+        };
+        self.cursor.next_entry(block)?;
+        if self.cursor.valid() {
             return Ok(());
         }
-        if self.entry_idx + 1 < self.current_entries.len() {
-            self.entry_idx += 1;
-            return Ok(());
-        }
-        let next = self.current_block_idx + 1;
-        if self.load_block(next)? && !self.current_entries.is_empty() {
-            self.entry_idx = 0;
-        } else {
-            self.valid = false;
-        }
-        Ok(())
+        self.first_entry_from(self.block_idx + 1)
     }
 
     fn valid(&self) -> bool {
-        self.valid
+        self.block.is_some() && self.cursor.valid()
     }
 
     fn key(&self) -> &[u8] {
-        &self.current_entries[self.entry_idx].0
+        self.cursor.key()
     }
 
     fn value(&self) -> &[u8] {
-        &self.current_entries[self.entry_idx].1
+        self.cursor
+            .value(self.block.as_ref().expect("iterator not valid"))
     }
 }
 
@@ -845,6 +861,79 @@ mod tests {
         let mut it = table.iter();
         let err = it.seek_to_first();
         assert!(err.is_err(), "corrupted data block must fail checksum");
+    }
+
+    /// The on-disk format is pinned: for a fixed input the builder writes,
+    /// byte for byte, what it wrote before the reader learned to work on
+    /// encoded blocks in place (lengths and FNV-1a digests taken from that
+    /// commit), so files of either age open under either reader.
+    #[test]
+    fn builder_output_matches_the_pinned_format() {
+        let compact = TableOptions {
+            block_size: 512,
+            restart_interval: 1,
+            prefix_compression: false,
+            ..TableOptions::default()
+        };
+        for (options, len, digest) in [
+            (
+                TableOptions::default(),
+                66_307,
+                16_122_606_059_140_713_840u64,
+            ),
+            (compact, 88_671, 15_694_803_836_233_692_716),
+        ] {
+            let storage: StorageRef = MemStorage::new_ref();
+            let mut builder = TableBuilder::new(storage.create("g.sst").unwrap(), options);
+            for key in 0..600u64 {
+                for seq in (1..=1 + key % 3).rev() {
+                    let kind = match (key + seq) % 7 {
+                        0 => ValueKind::Tombstone,
+                        1 => ValueKind::Partial,
+                        _ => ValueKind::Full,
+                    };
+                    let value = vec![(key * 31 + seq) as u8; (key % 90) as usize];
+                    builder
+                        .add(&InternalKey::new(key * 5, seq, kind).encode(), &value)
+                        .unwrap();
+                }
+            }
+            builder.finish().unwrap();
+            let bytes = storage.open("g.sst").unwrap().read_all().unwrap();
+            let fnv = crate::hash::fnv1a_64_fold(crate::hash::FNV1A_64_OFFSET, &bytes);
+            assert_eq!((bytes.len(), fnv), (len, digest));
+        }
+    }
+
+    /// An index entry the reader cannot use fails the open: it is neither
+    /// dropped (leaving a hole in the table) nor deferred to the first read.
+    #[test]
+    fn malformed_index_entry_fails_the_open() {
+        let past_the_data = InternalKey::new(u64::MAX, 1, ValueKind::Full).encode();
+        let mut outside = Vec::new();
+        BlockHandle {
+            offset: 1 << 40,
+            size: 64,
+        }
+        .encode_to(&mut outside);
+        let cases: [(&[u8], &[u8]); 3] = [
+            (&[0xFF; 5], &outside[..]),      // key is not an internal key
+            (&past_the_data, &outside[..7]), // handle is truncated
+            (&past_the_data, &outside[..]),  // handle points outside the file
+        ];
+        for (key, handle) in cases {
+            let storage: StorageRef = MemStorage::new_ref();
+            let mut builder =
+                TableBuilder::new(storage.create("m.sst").unwrap(), TableOptions::default());
+            builder
+                .add(&InternalKey::new(1, 1, ValueKind::Full).encode(), b"v")
+                .unwrap();
+            builder.flush_data_block().unwrap();
+            builder.index_block.add(key, handle).unwrap();
+            builder.finish().unwrap();
+            let err = TableHandle::open(&storage, "m.sst").unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "{err:?}");
+        }
     }
 
     #[test]

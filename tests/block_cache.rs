@@ -2,6 +2,7 @@
 //! real engine reads, capacity eviction, and — critically — read-after-
 //! compaction correctness (blocks of replaced SSTs must never be served).
 
+use laser::lsm_storage::cache::ENTRY_OVERHEAD;
 use laser::lsm_storage::{BlockCache, LsmDb, LsmOptions};
 use laser::{LaserDb, LaserOptions, LayoutSpec, Projection, Schema, Value};
 
@@ -31,6 +32,33 @@ fn repeated_reads_hit_the_cache() {
     assert!(stats.cache_hits > 0, "warm reads must hit: {stats:?}");
     let cache = db.block_cache().expect("cache configured");
     assert!(cache.stats().used_bytes > 0);
+}
+
+/// Blocks are cached in their encoded form and charged what they hold
+/// (encoded bytes + parsed restart array + a fixed per-entry overhead), so a
+/// fully cached tree costs about its size on storage; a budget of N bytes
+/// caches N bytes of SST, not a third of that.
+#[test]
+fn cached_blocks_are_charged_their_encoded_size() {
+    let db = LsmDb::open_in_memory(cached_options(16 << 20)).unwrap();
+    for key in 0..4_000u64 {
+        db.put(key, vec![5u8; 48]).unwrap();
+    }
+    db.flush().unwrap();
+    assert_eq!(db.scan(0, u64::MAX).unwrap().len(), 4_000);
+    let sst_bytes: u64 = db.level_sizes().iter().sum();
+    let stats = db.block_cache().unwrap().stats();
+    assert_eq!(stats.evictions, 0, "the tree must fit: {stats:?}");
+    // Every data block is resident. Below the file size by the bloom filter,
+    // index and footer; above it by at most the restart arrays (one u32 per
+    // 16 entries) and the per-entry overhead.
+    let overhead = stats.entries * ENTRY_OVERHEAD as u64;
+    assert!(
+        stats.used_bytes > sst_bytes * 9 / 10 && stats.used_bytes <= sst_bytes * 21 / 20 + overhead,
+        "{} bytes charged for {sst_bytes} bytes of SST in {} blocks",
+        stats.used_bytes,
+        stats.entries
+    );
 }
 
 #[test]

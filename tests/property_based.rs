@@ -15,7 +15,7 @@ use laser::lsm_storage::sst::{TableBuilder, TableHandle, TableOptions};
 use laser::lsm_storage::storage::{MemStorage, StorageRef};
 use laser::lsm_storage::types::{InternalKey, UserKey, ValueKind, MAX_SEQNO};
 use laser::lsm_storage::wal_segment::{SegmentedWal, WalSegmentMeta, WalSyncPolicy};
-use laser::lsm_storage::{LsmDb, LsmOptions, SeqNo, WriteBatch};
+use laser::lsm_storage::{BlockCache, LsmDb, LsmOptions, ScopedCache, SeqNo, WriteBatch};
 use laser::{LaserDb, LaserOptions, LayoutSpec, Projection, RowFragment, Schema, Value};
 use proptest::prelude::*;
 
@@ -396,6 +396,94 @@ proptest! {
                     prop_assert_eq!(concat.value(), v.as_slice());
                 }
                 None => prop_assert!(!concat.valid()),
+            }
+        }
+    }
+
+    /// The in-place SST reader (resident index, encoded blocks, restart-point
+    /// seek) against a `BTreeMap` over the same entries, for every block
+    /// encoding the builder can produce and with and without a block cache:
+    /// a full drain, seeks to present, absent, before-first and after-last
+    /// targets followed by a few steps, and point gets at snapshots that fall
+    /// on, between and below the versions of a key.
+    #[test]
+    fn table_reader_matches_btreemap_reference(
+        raw in prop::collection::vec((any::<u8>(), 0u8..12, 0u8..3, 0usize..200), 1..400),
+        prefix_compression in any::<bool>(),
+        restart_every_entry in any::<bool>(),
+        cached in any::<bool>(),
+        probes in prop::collection::vec((any::<u8>(), 0u8..14), 1..24),
+    ) {
+        // User keys start at 1000 and end below 2000, so both a before-first
+        // and an after-last target exist; a key holds up to 12 versions.
+        let reference: BTreeMap<Vec<u8>, Vec<u8>> = raw
+            .iter()
+            .map(|&(key, seq, kind, value_len)| {
+                let kind = [ValueKind::Full, ValueKind::Partial, ValueKind::Tombstone][kind as usize];
+                let ik = InternalKey::new(1000 + key as u64 * 3, seq as u64, kind);
+                (ik.encode().to_vec(), vec![key ^ seq; value_len])
+            })
+            .collect();
+        let storage: StorageRef = MemStorage::new_ref();
+        let options = TableOptions {
+            // Small blocks: a few hundred entries span many of them, and the
+            // versions of one key straddle block boundaries. Value lengths
+            // fall on both sides of the one-byte varint limit.
+            block_size: 512,
+            restart_interval: if restart_every_entry { 1 } else { 16 },
+            prefix_compression,
+            ..TableOptions::default()
+        };
+        let mut builder = TableBuilder::new(storage.create("t.sst").unwrap(), options);
+        for (k, v) in &reference {
+            builder.add(k, v).unwrap();
+        }
+        builder.finish().unwrap();
+        let cache = cached.then(|| ScopedCache::unscoped(BlockCache::new(4 << 10)));
+        let table = TableHandle::open_with_cache(&storage, "t.sst", cache).unwrap();
+
+        let expected: Vec<(Vec<u8>, Vec<u8>)> =
+            reference.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        prop_assert_eq!(&collect_all(&mut table.iter()).unwrap(), &expected);
+
+        let mut targets: Vec<[u8; 17]> = probes
+            .iter()
+            .map(|&(key, seq)| {
+                // Every third user key in range is absent by construction.
+                InternalKey::new(1000 + key as u64 * 3 + (seq as u64 % 3), seq as u64, ValueKind::Full)
+                    .encode()
+            })
+            .collect();
+        targets.push(InternalKey::seek_to(0).encode());
+        targets.push(InternalKey::seek_to(5000).encode());
+        let mut iter = table.iter();
+        for target in &targets {
+            iter.seek(target).unwrap();
+            let mut want = reference.range(target.to_vec()..);
+            for _ in 0..4 {
+                match want.next() {
+                    Some((k, v)) => {
+                        prop_assert!(iter.valid());
+                        prop_assert_eq!(iter.key(), k.as_slice());
+                        prop_assert_eq!(iter.value(), v.as_slice());
+                        iter.next().unwrap();
+                    }
+                    None => {
+                        prop_assert!(!iter.valid());
+                        break;
+                    }
+                }
+            }
+        }
+
+        for &(key, snapshot) in &probes {
+            for user_key in [1000 + key as u64 * 3, 1001 + key as u64 * 3, 0, 5000] {
+                let want = reference
+                    .iter()
+                    .map(|(k, v)| (InternalKey::decode(k).unwrap(), v))
+                    .find(|(ik, _)| ik.user_key == user_key && ik.seq <= snapshot as u64)
+                    .map(|(ik, v)| (ik, v.clone()));
+                prop_assert_eq!(table.get(user_key, snapshot as u64).unwrap(), want);
             }
         }
     }

@@ -11,8 +11,9 @@ use std::thread;
 
 use laser::laser_sharding::manifest::{read_split_intent, write_split_intent, SplitIntent};
 use laser::laser_sharding::{MemShardStorage, ShardStorageProvider, ShardedDb, ShardedOptions};
+use laser::lsm_storage::cache::ENTRY_OVERHEAD;
 use laser::lsm_storage::types::WriteBatch;
-use laser::lsm_storage::{BlockCache, LsmDb, LsmOptions};
+use laser::lsm_storage::{BlockCache, LsmDb, LsmOptions, TableOptions};
 use laser::{
     DirShardStorage, LaserDb, LaserOptions, LayoutSpec, Projection, RowFragment, Schema,
     SplitFailpoint, SplitPolicy,
@@ -400,6 +401,16 @@ fn process_wide_cache_accounts_bytes_per_shard_and_across_engines() {
     );
     let accounted: u64 = cache.scope_usage().iter().sum();
     assert_eq!(accounted, stats.used_bytes);
+    // Blocks are cached encoded and charged what they hold: no entry weighs
+    // more than one data block (which may overshoot its target size by an
+    // entry) plus its restart array and the fixed overhead.
+    let block_size = TableOptions::default().block_size as u64;
+    assert!(
+        stats.used_bytes <= stats.entries * (block_size + 512 + ENTRY_OVERHEAD as u64),
+        "{} bytes charged for {} blocks",
+        stats.used_bytes,
+        stats.entries
+    );
 }
 
 #[test]
