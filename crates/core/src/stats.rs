@@ -159,7 +159,10 @@ impl EngineStatsSnapshot {
     }
 }
 
-/// Thread-safe statistics collector owned by the engine.
+/// Thread-safe collector of the engine's operation counts and per-level
+/// profile. The flush/compaction/ingest/backpressure fields of its snapshot
+/// stay zero here: the engine shell counts those, and
+/// [`LaserDb::stats`](crate::LaserDb::stats) merges the two.
 #[derive(Debug)]
 pub struct EngineStats {
     inner: Mutex<EngineStatsSnapshot>,
@@ -249,38 +252,6 @@ impl EngineStats {
         }
     }
 
-    /// Records `bytes` of logical payload accepted on the write path.
-    pub fn record_ingest_bytes(&self, bytes: u64) {
-        self.inner.lock().ingest_bytes += bytes;
-    }
-
-    /// Records a flush that wrote `bytes` / `entries`.
-    pub fn record_flush(&self, bytes: u64, entries: u64) {
-        let mut inner = self.inner.lock();
-        inner.flushes += 1;
-        inner.compaction_bytes_written += bytes;
-        inner.compaction_entries_written += entries;
-    }
-
-    /// Records a write that blocked on backpressure.
-    pub fn record_stall(&self) {
-        self.inner.lock().stall_events += 1;
-    }
-
-    /// Records a write that briefly yielded on backpressure.
-    pub fn record_slowdown(&self) {
-        self.inner.lock().slowdown_events += 1;
-    }
-
-    /// Records a compaction job.
-    pub fn record_compaction(&self, bytes_read: u64, bytes_written: u64, entries: u64) {
-        let mut inner = self.inner.lock();
-        inner.compactions += 1;
-        inner.compaction_bytes_read += bytes_read;
-        inner.compaction_bytes_written += bytes_written;
-        inner.compaction_entries_written += entries;
-    }
-
     /// Returns a point-in-time copy of all counters.
     pub fn snapshot(&self) -> EngineStatsSnapshot {
         self.inner.lock().clone()
@@ -310,19 +281,12 @@ mod tests {
         stats.record_delete();
         stats.record_point_read();
         stats.record_scan();
-        stats.record_flush(1000, 10);
-        stats.record_compaction(500, 800, 8);
         let snap = stats.snapshot();
         assert_eq!(snap.inserts, 2);
         assert_eq!(snap.updates, 1);
         assert_eq!(snap.deletes, 1);
         assert_eq!(snap.point_reads, 1);
         assert_eq!(snap.scans, 1);
-        assert_eq!(snap.flushes, 1);
-        assert_eq!(snap.compactions, 1);
-        assert_eq!(snap.compaction_bytes_written, 1800);
-        assert_eq!(snap.compaction_bytes_read, 500);
-        assert_eq!(snap.compaction_entries_written, 18);
     }
 
     #[test]

@@ -31,9 +31,15 @@
 //! * [`maintenance`] — the background maintenance subsystem: a
 //!   [`maintenance::JobScheduler`] worker pool running flush/compaction jobs
 //!   off the write path, with write-side backpressure.
-//! * [`db`] — [`db::LsmDb`], a plain key-value LSM engine with leveled
-//!   compaction and both compaction priorities compared in Figure 2 of the
-//!   paper (`ByCompensatedSize`, `OldestSmallestSeqFirst`).
+//! * [`shell`] — [`shell::EngineShell`], everything an LSM engine does that
+//!   is not a level layout (WAL pairing, memtables, flush, manifest,
+//!   compaction install, trim, replication hooks, degradation, maintenance
+//!   glue), over the `levels[level].runs[column_group].files` tree shape,
+//!   with the per-engine part behind the small [`shell::LevelFormat`] hook.
+//! * [`db`] — [`db::LsmDb`], the single-column-group case of that shell: a
+//!   plain key-value LSM engine with leveled compaction and both compaction
+//!   priorities compared in Figure 2 of the paper (`ByCompensatedSize`,
+//!   `OldestSmallestSeqFirst`).
 //!
 //! ## Quick example
 //!
@@ -67,6 +73,7 @@ pub mod observability;
 pub mod options;
 pub mod retry;
 pub mod shape;
+pub mod shell;
 pub mod skiplist;
 pub mod sst;
 pub mod storage;
@@ -75,7 +82,7 @@ pub mod wal;
 pub mod wal_segment;
 
 pub use cache::{BlockCache, BlockCacheStats, ScopeId, ScopedCache};
-pub use db::{CompactionStatsSnapshot, LsmDb};
+pub use db::LsmDb;
 pub use degrade::{DegradationController, DegradedInfo};
 pub use error::{Error, Result};
 pub use iterator::{
@@ -93,6 +100,10 @@ pub use observability::{EngineTelemetry, WalErrorStage, WalTelemetry};
 pub use options::{CompactionPriority, LsmOptions};
 pub use retry::{retry_io, RetryPolicy};
 pub use shape::{LevelShape, TreeShape};
+pub use shell::{
+    CompactionSink, CompactionStatsSnapshot, EngineShell, Level, LevelFile, LevelFormat, ReadView,
+    Run, ShellConfig,
+};
 pub use sst::{TableBuilder, TableHandle, TableOptions, TableProperties};
 pub use storage::{
     FaultConfig, FaultHandle, FaultInjectingStorage, FaultPlan, FaultStorage, FileStorage, IoStats,

@@ -402,12 +402,13 @@ impl BackpressureGate {
     }
 }
 
-/// The engine-side maintenance glue shared by every LSM engine in this
-/// workspace. Engines supply the storage-specific primitives (freeze, flush
-/// one frozen memtable, one compaction step, pressure gauges) and inherit
-/// the whole write-path maintenance protocol as default methods:
-/// backpressure, freeze-and-enqueue after a write, the inline fallback when
-/// no scheduler is attached, and the background job bodies themselves.
+/// The engine-side maintenance protocol. The engine shell
+/// ([`EngineShell`](crate::EngineShell), the one implementation) supplies
+/// the storage-specific primitives (freeze, flush one frozen memtable, one
+/// compaction step, pressure gauges) and inherits the whole write-path
+/// maintenance protocol as default methods: backpressure, freeze-and-enqueue
+/// after a write, the inline fallback when no scheduler is attached, and the
+/// background job bodies themselves.
 ///
 /// [`attach_engine`] registers a [`JobScheduler`] with an engine implementing
 /// this trait, and the engine's [`MaintainableEngine::run_maintenance_job`]
@@ -448,19 +449,14 @@ pub trait EngineMaintenance: MaintainableEngine {
     /// Reports how long a write actually stalled on backpressure, so
     /// attached telemetry can histogram the wait and log a stall event.
     /// Called by the default [`EngineMaintenance::apply_backpressure`] only
-    /// for [`Throttle::Stall`]; the default is a no-op.
-    fn record_stall_duration(&self, _waited: Duration) {}
+    /// for [`Throttle::Stall`].
+    fn record_stall_duration(&self, waited: Duration);
     /// Rewrites one SST that still carries entries outside the engine's key
-    /// bound, dropping them. Returns true if a file was rewritten. Engines
-    /// without range restriction keep the default no-op.
-    fn trim_once(&self) -> Result<bool> {
-        Ok(false)
-    }
+    /// bound, dropping them. Returns true if a file was rewritten.
+    fn trim_once(&self) -> Result<bool>;
     /// True if some SST still carries entries outside the engine's key bound
     /// and a [`EngineMaintenance::trim_once`] would make progress.
-    fn needs_trim(&self) -> bool {
-        false
-    }
+    fn needs_trim(&self) -> bool;
 
     // ------------------------------------------------------------------
     // Shared default glue

@@ -135,9 +135,8 @@ pub struct ShardedOptions {
     /// Automatic shard splitting; `None` splits only on explicit
     /// [`ShardedDb::split_shard`] calls.
     pub split_policy: Option<SplitPolicy>,
-    /// Per-shard WAL-shipping replication; `None` runs unreplicated. The
-    /// engine must support replication ([`ShardEngine::SUPPORTS_REPLICATION`])
-    /// and shard splits are disabled while replication is on.
+    /// Per-shard WAL-shipping replication; `None` runs unreplicated. Shard
+    /// splits are disabled while replication is on.
     pub replication: Option<ReplicationConfig>,
 }
 
@@ -376,6 +375,9 @@ pub struct ShardedDb<E: ShardEngine> {
     topology: RwLock<Arc<Topology<E>>>,
     provider: Arc<dyn ShardStorageProvider>,
     engine_options: E::Options,
+    /// The engines' telemetry label (`"lsm"`, `"laser"`), as the shards'
+    /// shells report it.
+    engine_label: &'static str,
     cache: Option<Arc<BlockCache>>,
     /// Snapshot barrier: batch writers hold it shared while applying every
     /// per-shard sub-batch; [`ShardedDb::snapshot`] takes it exclusively, so
@@ -407,7 +409,7 @@ impl<E: ShardEngine> Drop for ShardedDb<E> {
 impl<E: ShardEngine> std::fmt::Debug for ShardedDb<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedDb")
-            .field("engine", &E::ENGINE_NAME)
+            .field("engine", &self.engine_label)
             .field("num_shards", &self.num_shards())
             .finish()
     }
@@ -505,7 +507,7 @@ impl<E: ShardEngine> ShardedDb<E> {
             let storage = provider.shard(slot as usize)?;
             let engine = Arc::new(E::open_shard(storage, &engine_options, scoped)?);
             let (lo, hi) = router.shard_range(index);
-            engine.shard_set_key_bound(lo, hi);
+            engine.set_key_bound(lo, hi);
             shards.push(Arc::new(Shard {
                 engine,
                 slot,
@@ -518,7 +520,7 @@ impl<E: ShardEngine> ShardedDb<E> {
         let scheduler = if options.maintenance_workers > 0 {
             let scheduler = JobScheduler::start_pool(options.maintenance_workers);
             for shard in &shards {
-                register_shard_engine(&scheduler, &shard.engine)?;
+                register_shard_engine(&scheduler, &**shard.engine)?;
             }
             Some(scheduler)
         } else {
@@ -528,12 +530,6 @@ impl<E: ShardEngine> ShardedDb<E> {
         // replicas, pull back any quorum-acknowledged writes that survived
         // only on a replica, and start the health monitor.
         let replication = match &options.replication {
-            Some(_) if !E::SUPPORTS_REPLICATION => {
-                return Err(Error::invalid(format!(
-                    "engine {} does not support replication",
-                    E::ENGINE_NAME
-                )));
-            }
             Some(config) => {
                 let state = Arc::new(ReplicationState::<E>::new(config.clone()));
                 let failpoint = state.failpoint();
@@ -551,14 +547,14 @@ impl<E: ShardEngine> ShardedDb<E> {
                             failpoint,
                         )?;
                         if let Some(scheduler) = &scheduler {
-                            register_shard_engine(scheduler, &replica.engine)?;
+                            register_shard_engine(scheduler, &**replica.engine)?;
                         }
                         replicas.push(replica);
                     }
                     // A replica ahead of the leader holds quorum-acked
                     // writes the leader's WAL lost (e.g. interval fsync):
                     // pull them back before serving traffic.
-                    let leader_seq = shard.engine.shard_last_seq();
+                    let leader_seq = shard.engine.last_seq();
                     if let Some(best) = replicas
                         .iter()
                         .max_by_key(|r| r.shared.applied().0)
@@ -572,7 +568,7 @@ impl<E: ShardEngine> ShardedDb<E> {
                         replicas,
                     ));
                     // Heal any replica the reconciliation left behind.
-                    let leader_seq = shard.engine.shard_last_seq();
+                    let leader_seq = shard.engine.last_seq();
                     for replica in set.replicas() {
                         if replica.shared.applied().0 < leader_seq {
                             reship_tail(set.as_ref(), replica.as_ref())?;
@@ -602,6 +598,7 @@ impl<E: ShardEngine> ShardedDb<E> {
             num_shards.min(8)
         };
         Ok(ShardedDb {
+            engine_label: shards[0].engine.config().label,
             scheduler,
             pool: WorkerPool::new(fanout_threads, "shard-fanout"),
             topology: RwLock::new(Arc::new(Topology {
@@ -628,7 +625,7 @@ impl<E: ShardEngine> ShardedDb<E> {
     /// automatically; each split is also recorded in the hub's event log.
     /// Idempotent — a second attach keeps the first registration.
     pub fn attach_telemetry(&self, hub: &Arc<Telemetry>) {
-        let engine = E::ENGINE_NAME;
+        let engine = self.engine_label;
         let _ = self.telemetry.set(ShardedTelemetry {
             hub: Arc::clone(hub),
             batch_commit_ns: hub.registry().histogram(
@@ -655,9 +652,7 @@ impl<E: ShardEngine> ShardedDb<E> {
         });
         let hub = &self.telemetry.get().expect("just set").hub;
         for shard in &self.current().shards {
-            shard
-                .engine
-                .shard_attach_telemetry(hub, &shard.slot.to_string());
+            shard.engine.attach_telemetry(hub, &shard.slot.to_string());
             shard
                 .profiler
                 .get_or_init(|| hub.register_profiler(&shard.slot.to_string()));
@@ -668,7 +663,7 @@ impl<E: ShardEngine> ShardedDb<E> {
                 for replica in set.replicas() {
                     replica
                         .engine
-                        .shard_attach_telemetry(hub, &replica.slot.to_string());
+                        .attach_telemetry(hub, &replica.slot.to_string());
                 }
             }
         }
@@ -705,7 +700,7 @@ impl<E: ShardEngine> ShardedDb<E> {
                         .gauge(
                             "laser_cache_shard_resident_bytes",
                             &[
-                                ("engine", E::ENGINE_NAME),
+                                ("engine", self.engine_label),
                                 ("shard", &shard.slot.to_string()),
                             ],
                         )
@@ -723,11 +718,11 @@ impl<E: ShardEngine> ShardedDb<E> {
     /// re-registering the same labels resumes the existing series.
     fn refresh_amplification(&self, telemetry: &ShardedTelemetry) {
         let registry = telemetry.hub.registry();
-        let engine = E::ENGINE_NAME;
+        let engine = self.engine_label;
         for shard in &self.current().shards {
             let label = shard.slot.to_string();
             let labels = [("engine", engine), ("shard", label.as_str())];
-            let shape = shard.engine.shard_tree_shape();
+            let shape = shard.engine.tree_shape();
             for level in &shape.levels {
                 let level_label = level.level.to_string();
                 let level_labels = [
@@ -923,7 +918,7 @@ impl<E: ShardEngine> ShardedDb<E> {
                             span.annotate("seq", end);
                         }
                     }
-                    None => shard.engine.shard_write(batch)?,
+                    None => shard.engine.write(batch)?,
                 }
             } else {
                 let mut per_shard: Vec<Option<WriteBatch>> = vec![None; topology.shards.len()];
@@ -980,7 +975,7 @@ impl<E: ShardEngine> ShardedDb<E> {
                                 Some((state, set)) => set
                                     .write_through(&sub, &state.config, state.failpoint())
                                     .map(|_| ()),
-                                None => engine.shard_write(&sub),
+                                None => engine.write(&sub),
                             }
                         }
                     })
@@ -1040,7 +1035,7 @@ impl<E: ShardEngine> ShardedDb<E> {
         let topology = self.current();
         let mut promoted = false;
         for (index, shard) in topology.shards.iter().enumerate() {
-            if !shard.engine.shard_is_healthy() && self.promote_shard(index).is_ok() {
+            if !shard.engine.is_healthy() && self.promote_shard(index).is_ok() {
                 promoted = true;
             }
         }
@@ -1085,7 +1080,7 @@ impl<E: ShardEngine> ShardedDb<E> {
             seqs: topology
                 .shards
                 .iter()
-                .map(|s| s.engine.shard_last_seq())
+                .map(|s| s.engine.last_seq())
                 .collect(),
         }
     }
@@ -1317,7 +1312,7 @@ impl<E: ShardEngine> ShardedDb<E> {
         };
         let needed = if seq == MAX_SEQNO {
             leader
-                .shard_last_seq()
+                .last_seq()
                 .saturating_sub(state.config.freshness_bound_seqs)
         } else {
             seq
@@ -1554,8 +1549,8 @@ impl<E: ShardEngine> ShardedDb<E> {
         // Drain the parent's memtables so every acknowledged write lives in
         // an SST listed by its engine manifest (the WAL segments retire with
         // the flush; children start with fresh, empty logs).
-        parent.engine.shard_flush()?;
-        parent.engine.shard_close()?;
+        parent.engine.flush()?;
+        parent.engine.close()?;
 
         let root = self.provider.root()?;
         let parent_storage = self.provider.shard(parent.slot as usize)?;
@@ -1627,12 +1622,12 @@ impl<E: ShardEngine> ShardedDb<E> {
             };
             let storage = self.provider.shard(slot as usize)?;
             let engine = Arc::new(E::open_shard(storage, &self.engine_options, scoped)?);
-            engine.shard_set_key_bound(lo, hi);
+            engine.set_key_bound(lo, hi);
             if let Some(telemetry) = telemetry {
-                engine.shard_attach_telemetry(&telemetry.hub, &slot.to_string());
+                engine.attach_telemetry(&telemetry.hub, &slot.to_string());
             }
             if let Some(scheduler) = &self.scheduler {
-                register_shard_engine(scheduler, &engine)?;
+                register_shard_engine(scheduler, &**engine)?;
             }
             let profiler = OnceLock::new();
             if let Some(telemetry) = telemetry {
@@ -1704,9 +1699,7 @@ impl<E: ShardEngine> ShardedDb<E> {
                 Some(handle) => {
                     handle.submit(JobKind::Trim);
                 }
-                None if inline_trim => {
-                    while EngineMaintenance::trim_once(child.engine.as_ref())? {}
-                }
+                None if inline_trim => while child.engine.trim_once()? {},
                 None => {}
             }
         }
@@ -1734,10 +1727,10 @@ impl<E: ShardEngine> ShardedDb<E> {
         }
         let mut candidate: Option<(usize, u64)> = None;
         for (index, shard) in topology.shards.iter().enumerate() {
-            let resident = shard.engine.shard_buffered_bytes()
+            let resident = shard.engine.buffered_bytes()
                 + shard
                     .engine
-                    .shard_level_files()
+                    .level_files()
                     .iter()
                     .flatten()
                     .map(|f| f.file_size)
@@ -1800,7 +1793,7 @@ impl<E: ShardEngine> ShardedDb<E> {
             .iter()
             .map(|shard| {
                 let engine = Arc::clone(&shard.engine);
-                move || engine.shard_flush()
+                move || engine.flush()
             })
             .collect();
         self.pool.run_all(tasks).into_iter().collect::<Result<_>>()
@@ -1814,7 +1807,7 @@ impl<E: ShardEngine> ShardedDb<E> {
             .iter()
             .map(|shard| {
                 let engine = Arc::clone(&shard.engine);
-                move || engine.shard_compact_until_stable()
+                move || engine.compact_until_stable()
             })
             .collect();
         self.pool.run_all(tasks).into_iter().collect::<Result<_>>()
@@ -1842,13 +1835,13 @@ impl<E: ShardEngine> ShardedDb<E> {
             state.shutdown();
             for set in state.sets.read().iter() {
                 for replica in set.replicas() {
-                    replica.engine.shard_close()?;
+                    replica.engine.close()?;
                 }
             }
         }
         let topology = self.current();
         for shard in &topology.shards {
-            shard.engine.shard_close()?;
+            shard.engine.close()?;
         }
         Ok(())
     }
@@ -1867,8 +1860,8 @@ impl<E: ShardEngine> ShardedDb<E> {
         let mut wal = WalStatsSnapshot::default();
         let mut io = IoStatsSnapshot::default();
         for shard in &topology.shards {
-            wal = wal.merged(&shard.engine.shard_wal_stats());
-            io = io.merged(&shard.engine.shard_io_stats());
+            wal = wal.merged(&shard.engine.wal_stats());
+            io = io.merged(&shard.engine.storage().io_stats().snapshot());
         }
         ShardedStatsSnapshot {
             num_shards: topology.shards.len(),
@@ -1920,7 +1913,7 @@ impl<E: ShardEngine> ShardedDb<E> {
     pub fn shard_amplification(&self, index: usize) -> Option<(f64, f64, f64)> {
         let topology = self.current();
         let shard = topology.shards.get(index)?;
-        let shape = shard.engine.shard_tree_shape();
+        let shape = shard.engine.tree_shape();
         let (write_amp, _, _) = measured_write_amp(shard.engine.as_ref());
         Some((write_amp, shape.read_amp(), shape.space_amp()))
     }
@@ -1934,7 +1927,7 @@ impl<E: ShardEngine> ShardedDb<E> {
         let topology = self.current();
         let mut out = format!(
             "{{\"engine\":\"{}\",\"epoch\":{},\"num_shards\":{},\"shards\":[",
-            E::ENGINE_NAME,
+            self.engine_label,
             topology.epoch,
             topology.shards.len(),
         );
@@ -1943,7 +1936,7 @@ impl<E: ShardEngine> ShardedDb<E> {
                 out.push(',');
             }
             let (lo, hi) = topology.router.shard_range(index);
-            let shape = shard.engine.shard_tree_shape();
+            let shape = shard.engine.tree_shape();
             let (write_amp, ingest, written) = measured_write_amp(shard.engine.as_ref());
             let (predicted_write, predicted_space) = shard.engine.shard_predicted_amps();
             out.push_str(&format!(
@@ -1974,7 +1967,7 @@ impl<E: ShardEngine> ShardedDb<E> {
         self.current()
             .shards
             .iter()
-            .filter_map(|s| s.profiler.get().map(|p| p.snapshot(E::ENGINE_NAME)))
+            .filter_map(|s| s.profiler.get().map(|p| p.snapshot(self.engine_label)))
             .collect()
     }
 
@@ -2005,7 +1998,7 @@ impl<E: ShardEngine> ShardedDb<E> {
             if index > 0 {
                 shards.push(',');
             }
-            let read_only = shard.engine.shard_degraded_reason();
+            let read_only = shard.engine.degraded_info().map(|info| info.reason);
             let live = replication
                 .and_then(|s| s.set(index))
                 .map_or(target, |set| {
@@ -2016,7 +2009,7 @@ impl<E: ShardEngine> ShardedDb<E> {
                 });
             let state = if read_only.is_some() {
                 "read_only"
-            } else if !shard.engine.shard_is_healthy() || live < target {
+            } else if !shard.engine.is_healthy() || live < target {
                 "degraded"
             } else {
                 "ok"
@@ -2041,7 +2034,7 @@ impl<E: ShardEngine> ShardedDb<E> {
         let status = if all_ok { "ok" } else { "degraded" };
         let body = format!(
             "{{\"status\":\"{status}\",\"engine\":\"{}\",\"epoch\":{},\"num_shards\":{},\"shards\":[{shards}]}}",
-            E::ENGINE_NAME,
+            self.engine_label,
             topology.epoch,
             topology.shards.len(),
         );
@@ -2131,7 +2124,7 @@ fn json_escape(s: &str) -> String {
 /// bytes written over logical ingest bytes — as `(amp, ingest, written)`.
 /// Reports 0.0 before any ingest, so the metric is always finite.
 fn measured_write_amp<E: ShardEngine>(engine: &E) -> (f64, u64, u64) {
-    let ingest = engine.shard_ingest_bytes();
+    let ingest = engine.stats().ingest_bytes;
     let written = engine.shard_flush_compact_bytes();
     let amp = if ingest > 0 {
         written as f64 / ingest as f64
@@ -2153,7 +2146,7 @@ fn pick_split_key<E: ShardEngine>(topology: &Topology<E>, index: usize) -> Optio
     }
     let mut spans: Vec<(UserKey, UserKey, u64)> = topology.shards[index]
         .engine
-        .shard_level_files()
+        .level_files()
         .iter()
         .flatten()
         .map(|meta| {

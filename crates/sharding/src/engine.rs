@@ -1,39 +1,34 @@
 //! The engine abstraction sharding is generic over, and its implementations
 //! for the two engines of this workspace.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
-use laser_core::{LaserDb, LaserOptions, LayoutSpec, LevelLayout, Projection, RowFragment, Schema};
+use laser_core::{LaserDb, LaserOptions, LayoutSpec, Projection, RowFragment, Schema};
 use laser_cost_model::{CostModel, TreeParameters};
 use lsm_storage::cache::ScopedCache;
-use lsm_storage::maintenance::EngineMaintenance;
-use lsm_storage::manifest::FileMeta;
-use lsm_storage::shape::TreeShape;
-use lsm_storage::storage::{IoStatsSnapshot, StorageRef};
-use lsm_storage::types::{SeqNo, UserKey, WriteBatch};
-use lsm_storage::wal::WalRecord;
-use lsm_storage::wal_segment::{ShippedSegment, WalStatsSnapshot};
-use lsm_storage::{Error, LsmDb, LsmOptions, Result};
-use telemetry::{LevelMix, MeasuredTreeParams, Telemetry};
+use lsm_storage::storage::StorageRef;
+use lsm_storage::types::{SeqNo, UserKey};
+use lsm_storage::{EngineShell, LsmDb, LsmOptions, Result};
+use telemetry::{LevelMix, MeasuredTreeParams};
 
 /// An engine that can serve as one shard of a [`ShardedDb`](crate::ShardedDb).
 ///
-/// The [`EngineMaintenance`] supertrait is what lets every shard register
-/// with one shared [`JobScheduler`](lsm_storage::JobScheduler); the methods
-/// here add shard-oriented open/write/read entry points over the engines'
-/// native APIs. `Value`/`ReadCtx` keep the facade fully typed: the plain KV
-/// engine scans `Vec<u8>` values with no read context, the LASER engine
-/// scans [`RowFragment`]s under a column [`Projection`].
-pub trait ShardEngine: EngineMaintenance + Sized + Send + Sync + 'static {
+/// Every engine is an [`EngineShell`] plus a level format, and `Deref` says
+/// so: writes, flush/compaction/close, WAL shipping and replicated apply,
+/// key-bound trim, health, size statistics and scheduler registration are
+/// the shell's and are called on it directly. What is left here is the typed
+/// surface — open, point read, range scan — and the cost-model parameters
+/// only the typed engine knows. `Value`/`ReadCtx` keep the facade fully
+/// typed: the plain KV engine scans `Vec<u8>` values with no read context,
+/// the LASER engine scans [`RowFragment`]s under a column [`Projection`].
+pub trait ShardEngine: Deref<Target = Arc<EngineShell>> + Sized + Send + Sync + 'static {
     /// Engine configuration, shared by every shard.
     type Options: Clone + Send + Sync + 'static;
     /// The value type reads and scans produce.
     type Value: Send + 'static;
     /// Per-read context (e.g. a column projection).
     type ReadCtx: Clone + Default + Send + Sync + 'static;
-
-    /// Short engine name for logs and bench output.
-    const ENGINE_NAME: &'static str;
 
     /// Opens one shard on its private storage namespace, serving block reads
     /// through the given scoped view of the process-wide cache.
@@ -42,13 +37,6 @@ pub trait ShardEngine: EngineMaintenance + Sized + Send + Sync + 'static {
         options: &Self::Options,
         cache: Option<ScopedCache>,
     ) -> Result<Self>;
-
-    /// Applies a batch atomically (the caller has already routed every entry
-    /// of the batch to this shard).
-    fn shard_write(&self, batch: &WriteBatch) -> Result<()>;
-
-    /// The last sequence number this shard assigned.
-    fn shard_last_seq(&self) -> SeqNo;
 
     /// Point lookup visible at `snapshot`.
     fn shard_get_at(
@@ -72,84 +60,15 @@ pub trait ShardEngine: EngineMaintenance + Sized + Send + Sync + 'static {
         snapshot: SeqNo,
     ) -> Result<Vec<(UserKey, Self::Value)>>;
 
-    /// Flushes all buffered writes to Level-0.
-    fn shard_flush(&self) -> Result<()>;
-
-    /// Compacts until no level overflows.
-    fn shard_compact_until_stable(&self) -> Result<()>;
-
-    /// Flushes outstanding data and persists the shard's manifest.
-    fn shard_close(&self) -> Result<()>;
-
-    // ------------------------------------------------------------------
-    // Size statistics and split support
-    // ------------------------------------------------------------------
-
-    /// Metadata of every attached SST, grouped by level. The split policy
-    /// derives a shard's on-disk size and a byte-weighted split point from
-    /// these.
-    fn shard_level_files(&self) -> Vec<Vec<FileMeta>>;
-
-    /// Approximate bytes buffered in the shard's memtables (mutable plus
-    /// frozen).
-    fn shard_buffered_bytes(&self) -> u64;
-
-    /// Restricts the shard to the inclusive key range `[lo, hi]`: engines
-    /// that support it drop out-of-range entries during compaction and trim
-    /// SSTs adopted from a pre-split parent. Routing guarantees reads never
-    /// ask for out-of-range keys, so engines without range restriction may
-    /// keep this default no-op (the out-of-range leftovers are invisible,
-    /// just not reclaimed).
-    fn shard_set_key_bound(&self, _lo: UserKey, _hi: UserKey) {}
-
-    // ------------------------------------------------------------------
-    // Observability
-    // ------------------------------------------------------------------
-
-    /// Registers the shard's latency histograms, byte counters and
-    /// maintenance events with a shared telemetry hub under `shard_label`.
-    /// Engines without instrumentation may keep the default no-op.
-    fn shard_attach_telemetry(&self, _hub: &Arc<Telemetry>, _shard_label: &str) {}
-
-    /// Durability counters of the shard's write-ahead log.
-    fn shard_wal_stats(&self) -> WalStatsSnapshot;
-
-    /// I/O counters of the shard's private storage namespace.
-    fn shard_io_stats(&self) -> IoStatsSnapshot;
-
-    // ------------------------------------------------------------------
-    // Amplification accounting and the advisor bridge
-    // ------------------------------------------------------------------
-
-    /// Point-in-time physical shape of the shard's tree (files, bytes,
-    /// overlap and compaction debt per level), from which the facade derives
-    /// the structural read amplification and measured space amplification.
-    fn shard_tree_shape(&self) -> TreeShape;
-
-    /// Logical payload bytes accepted on the write path (key + value /
-    /// encoded fragment) — the denominator of measured write amplification.
-    fn shard_ingest_bytes(&self) -> u64;
-
-    /// Bytes written to storage by flushes and compactions — the numerator
-    /// of measured write amplification.
-    fn shard_flush_compact_bytes(&self) -> u64;
-
-    /// Structural tree parameters measured from the live shard (entry
-    /// counts, block occupancy), feeding the cost model and the advisor.
-    fn shard_tree_params(&self) -> MeasuredTreeParams;
-
     /// Per-level operation mix observed by the shard, in the telemetry
     /// crate's engine-agnostic form. Losslessly convertible into a
     /// `laser_advisor::WorkloadTrace` (projections are 0-based column ids;
     /// engines without projections report whole-row column sets).
     fn shard_workload_levels(&self) -> Vec<LevelMix>;
 
-    /// Cost-model predictions for this shard under its current layout:
-    /// `(write_amp, space_amp)`. Write amplification is Equation 4 scaled
-    /// from block I/Os per entry to a byte rewrite factor (× `B`); space
-    /// amplification is the Section 5 worst case, `1 + 1/T`. The facade
-    /// exports `measured − predicted` as the per-shard model residual.
-    fn shard_predicted_amps(&self) -> (f64, f64);
+    /// The per-level column-group layout the cost model evaluates this shard
+    /// under (a one-column row layout for the plain KV engine).
+    fn cost_layout(&self) -> LayoutSpec;
 
     /// The column set a read context projects, as 0-based column ids, for
     /// workload profiling. `None` for engines whose reads have no
@@ -158,68 +77,56 @@ pub trait ShardEngine: EngineMaintenance + Sized + Send + Sync + 'static {
         None
     }
 
-    // ------------------------------------------------------------------
-    // Replication support (WAL shipping and replica apply)
-    // ------------------------------------------------------------------
-
-    /// Whether this engine implements the WAL-shipping replication hooks
-    /// below. [`ShardedDb`](crate::ShardedDb) only accepts a replicated
-    /// configuration for engines that return true.
-    const SUPPORTS_REPLICATION: bool = false;
-
-    /// Applies a record replicated from a leader at its original sequence
-    /// numbers through this replica's own WAL and memtable. Must be
-    /// idempotent under retransmission (duplicate records are skipped,
-    /// partially overlapping ones apply only their unseen suffix) and must
-    /// reject records that would leave a sequence gap. Returns the replica's
-    /// new last applied sequence number.
-    fn shard_apply_replicated(&self, _start_seq: SeqNo, _batch: &WriteBatch) -> Result<SeqNo> {
-        Err(Error::invalid(format!(
-            "engine {} does not support replication",
-            Self::ENGINE_NAME
-        )))
+    /// Bytes written to storage by flushes and compactions — the numerator
+    /// of measured write amplification.
+    fn shard_flush_compact_bytes(&self) -> u64 {
+        self.stats().bytes_written
     }
 
-    /// The catch-up payload for a replica that has applied through
-    /// `from_seq`: sealed WAL segment images plus the intact live-tail
-    /// records past that horizon.
-    fn shard_wal_catchup(&self, _from_seq: SeqNo) -> Result<(Vec<ShippedSegment>, Vec<WalRecord>)> {
-        Err(Error::invalid(format!(
-            "engine {} does not support replication",
-            Self::ENGINE_NAME
-        )))
+    /// Structural tree parameters measured from the live shard (entry
+    /// counts, block occupancy), feeding the cost model and the advisor.
+    fn shard_tree_params(&self) -> MeasuredTreeParams {
+        let levels = self.level_files();
+        let total_bytes: u64 = levels.iter().flatten().map(|f| f.file_size).sum();
+        let total_entries: u64 = levels.iter().flatten().map(|f| f.num_entries).sum();
+        // A row is stored once per column group of its level, so a level's
+        // row count is its largest per-CG entry sum, not the plain file
+        // total.
+        let rows: u64 = levels
+            .iter()
+            .map(|files| {
+                let mut per_group: Vec<(u32, u64)> = Vec::new();
+                for file in files {
+                    match per_group.iter_mut().find(|(g, _)| *g == file.column_group) {
+                        Some(slot) => slot.1 += file.num_entries,
+                        None => per_group.push((file.column_group, file.num_entries)),
+                    }
+                }
+                per_group.iter().map(|&(_, n)| n).max().unwrap_or(0)
+            })
+            .sum();
+        let config = self.config();
+        let block = config.table.block_size;
+        MeasuredTreeParams {
+            num_entries: rows + self.memtable_len() as u64,
+            size_ratio: config.size_ratio,
+            entries_per_block: entries_per_block(total_bytes, total_entries, block),
+            level0_blocks: level0_blocks(config.level0_size_bytes, block),
+            num_columns: self.cost_layout().schema().num_columns() as u32,
+        }
     }
 
-    /// Adopts a shipped sealed-segment image wholesale (replica catch-up in
-    /// O(1) appends per segment). Returns the new last applied sequence
-    /// number.
-    fn shard_adopt_wal_segment(&self, _bytes: &[u8]) -> Result<SeqNo> {
-        Err(Error::invalid(format!(
-            "engine {} does not support replication",
-            Self::ENGINE_NAME
-        )))
-    }
-
-    /// Pins sealed WAL segments holding records past `seq` (the lowest
-    /// sequence number any replica still needs) so a lagging-but-healthy
-    /// replica can always catch up from the leader's log. Engines without
-    /// replication hooks keep the default no-op.
-    fn shard_set_wal_retention_floor(&self, _seq: SeqNo) -> Result<()> {
-        Ok(())
-    }
-
-    /// False once the shard's WAL has fail-stopped: the replication health
-    /// monitor treats such a leader as lost. Engines without a fail-stop
-    /// signal report healthy.
-    fn shard_is_healthy(&self) -> bool {
-        true
-    }
-
-    /// Why the shard is serving read-only (persistent storage fault pushed
-    /// the engine into graceful degradation), or `None` while it accepts
-    /// writes. Engines without a degradation controller report writable.
-    fn shard_degraded_reason(&self) -> Option<String> {
-        None
+    /// Cost-model predictions for this shard under its current layout:
+    /// `(write_amp, space_amp)`. Write amplification is Equation 4 scaled
+    /// from block I/Os per entry to a byte rewrite factor (× `B`); space
+    /// amplification is the Section 5 worst case, `1 + 1/T`. The facade
+    /// exports `measured − predicted` as the per-shard model residual.
+    fn shard_predicted_amps(&self) -> (f64, f64) {
+        predicted_amps(
+            &self.shard_tree_params(),
+            self.cost_layout(),
+            self.config().num_levels.max(1),
+        )
     }
 }
 
@@ -228,22 +135,12 @@ impl ShardEngine for LsmDb {
     type Value = Vec<u8>;
     type ReadCtx = ();
 
-    const ENGINE_NAME: &'static str = "lsm";
-
     fn open_shard(
         storage: StorageRef,
         options: &Self::Options,
         cache: Option<ScopedCache>,
     ) -> Result<Self> {
         LsmDb::open_with_cache(storage, options.clone(), cache)
-    }
-
-    fn shard_write(&self, batch: &WriteBatch) -> Result<()> {
-        self.write(batch)
-    }
-
-    fn shard_last_seq(&self) -> SeqNo {
-        self.last_seq()
     }
 
     fn shard_get_at(
@@ -263,74 +160,6 @@ impl ShardEngine for LsmDb {
         snapshot: SeqNo,
     ) -> Result<Vec<(UserKey, Self::Value)>> {
         self.scan_at(lo, hi, snapshot)
-    }
-
-    fn shard_flush(&self) -> Result<()> {
-        self.flush()
-    }
-
-    fn shard_compact_until_stable(&self) -> Result<()> {
-        self.compact_until_stable()
-    }
-
-    fn shard_close(&self) -> Result<()> {
-        self.close()
-    }
-
-    fn shard_level_files(&self) -> Vec<Vec<FileMeta>> {
-        self.level_files()
-    }
-
-    fn shard_buffered_bytes(&self) -> u64 {
-        self.buffered_bytes()
-    }
-
-    fn shard_set_key_bound(&self, lo: UserKey, hi: UserKey) {
-        self.set_key_bound(lo, hi)
-    }
-
-    fn shard_attach_telemetry(&self, hub: &Arc<Telemetry>, shard_label: &str) {
-        self.attach_telemetry(hub, shard_label)
-    }
-
-    fn shard_wal_stats(&self) -> WalStatsSnapshot {
-        self.wal_stats()
-    }
-
-    fn shard_io_stats(&self) -> IoStatsSnapshot {
-        self.storage().io_stats().snapshot()
-    }
-
-    fn shard_tree_shape(&self) -> TreeShape {
-        TreeShape::compute(
-            &self.level_files(),
-            self.buffered_bytes(),
-            self.options().size_ratio,
-            self.options().level_capacity_bytes(0),
-            self.key_bound(),
-        )
-    }
-
-    fn shard_ingest_bytes(&self) -> u64 {
-        self.stats().ingest_bytes
-    }
-
-    fn shard_flush_compact_bytes(&self) -> u64 {
-        self.stats().bytes_written
-    }
-
-    fn shard_tree_params(&self) -> MeasuredTreeParams {
-        let levels = self.level_files();
-        let total_bytes: u64 = levels.iter().flatten().map(|f| f.file_size).sum();
-        let total_entries: u64 = levels.iter().flatten().map(|f| f.num_entries).sum();
-        let block = self.options().table.block_size;
-        MeasuredTreeParams {
-            num_entries: total_entries + self.memtable_len() as u64,
-            size_ratio: self.options().size_ratio,
-            entries_per_block: entries_per_block(total_bytes, total_entries, block),
-            level0_blocks: level0_blocks(self.options().level_capacity_bytes(0), block),
-            num_columns: 1,
-        }
     }
 
     fn shard_workload_levels(&self) -> Vec<LevelMix> {
@@ -354,43 +183,8 @@ impl ShardEngine for LsmDb {
             .collect()
     }
 
-    fn shard_predicted_amps(&self) -> (f64, f64) {
-        let schema = Schema::with_columns(1);
-        let layouts = (0..self.options().num_levels.max(1))
-            .map(|_| LevelLayout::row_oriented(&schema))
-            .collect();
-        let layout = LayoutSpec::new(schema, layouts, "row").expect("row layout is valid");
-        predicted_amps(
-            &self.shard_tree_params(),
-            layout,
-            self.options().num_levels.max(1),
-        )
-    }
-
-    const SUPPORTS_REPLICATION: bool = true;
-
-    fn shard_apply_replicated(&self, start_seq: SeqNo, batch: &WriteBatch) -> Result<SeqNo> {
-        self.apply_replicated(start_seq, batch)
-    }
-
-    fn shard_wal_catchup(&self, from_seq: SeqNo) -> Result<(Vec<ShippedSegment>, Vec<WalRecord>)> {
-        self.wal_catchup(from_seq)
-    }
-
-    fn shard_adopt_wal_segment(&self, bytes: &[u8]) -> Result<SeqNo> {
-        self.adopt_wal_segment(bytes)
-    }
-
-    fn shard_set_wal_retention_floor(&self, seq: SeqNo) -> Result<()> {
-        self.set_wal_retention_floor(seq)
-    }
-
-    fn shard_is_healthy(&self) -> bool {
-        self.is_healthy()
-    }
-
-    fn shard_degraded_reason(&self) -> Option<String> {
-        self.degraded_info().map(|info| info.reason)
+    fn cost_layout(&self) -> LayoutSpec {
+        LayoutSpec::row_store(&Schema::with_columns(1), self.options().num_levels)
     }
 }
 
@@ -399,22 +193,12 @@ impl ShardEngine for LaserDb {
     type Value = RowFragment;
     type ReadCtx = Projection;
 
-    const ENGINE_NAME: &'static str = "laser";
-
     fn open_shard(
         storage: StorageRef,
         options: &Self::Options,
         cache: Option<ScopedCache>,
     ) -> Result<Self> {
         LaserDb::open_with_cache(storage, options.clone(), cache)
-    }
-
-    fn shard_write(&self, batch: &WriteBatch) -> Result<()> {
-        self.write(batch)
-    }
-
-    fn shard_last_seq(&self) -> SeqNo {
-        self.last_seq()
     }
 
     fn shard_get_at(
@@ -434,92 +218,6 @@ impl ShardEngine for LaserDb {
         snapshot: SeqNo,
     ) -> Result<Vec<(UserKey, Self::Value)>> {
         self.scan_at(lo, hi, ctx, snapshot)
-    }
-
-    fn shard_flush(&self) -> Result<()> {
-        self.flush()
-    }
-
-    fn shard_compact_until_stable(&self) -> Result<()> {
-        self.compact_until_stable()
-    }
-
-    fn shard_close(&self) -> Result<()> {
-        self.close()
-    }
-
-    fn shard_level_files(&self) -> Vec<Vec<FileMeta>> {
-        self.level_files()
-    }
-
-    fn shard_buffered_bytes(&self) -> u64 {
-        self.buffered_bytes()
-    }
-
-    // LaserDb keeps the default no-op `shard_set_key_bound`: its CG
-    // compactions do not yet drop out-of-range entries, so a split shard
-    // carries (invisible) out-of-range leftovers until they age out.
-
-    fn shard_attach_telemetry(&self, hub: &Arc<Telemetry>, shard_label: &str) {
-        self.attach_telemetry(hub, shard_label)
-    }
-
-    fn shard_wal_stats(&self) -> WalStatsSnapshot {
-        self.wal_stats()
-    }
-
-    fn shard_io_stats(&self) -> IoStatsSnapshot {
-        self.storage().io_stats().snapshot()
-    }
-
-    fn shard_tree_shape(&self) -> TreeShape {
-        // LaserDb keeps the default no-op key bound (see above), so its
-        // live-byte estimate carries no bounds discount.
-        TreeShape::compute(
-            &self.level_files(),
-            self.buffered_bytes(),
-            self.options().size_ratio,
-            self.options().level_capacity_bytes(0),
-            None,
-        )
-    }
-
-    fn shard_ingest_bytes(&self) -> u64 {
-        self.stats().ingest_bytes
-    }
-
-    fn shard_flush_compact_bytes(&self) -> u64 {
-        self.stats().compaction_bytes_written
-    }
-
-    fn shard_tree_params(&self) -> MeasuredTreeParams {
-        let levels = self.level_files();
-        let total_bytes: u64 = levels.iter().flatten().map(|f| f.file_size).sum();
-        let total_entries: u64 = levels.iter().flatten().map(|f| f.num_entries).sum();
-        // A row is stored once per column group of its level, so a level's
-        // row count is its largest per-CG entry sum, not the plain file
-        // total.
-        let rows: u64 = levels
-            .iter()
-            .map(|files| {
-                let mut per_group: Vec<(u32, u64)> = Vec::new();
-                for file in files {
-                    match per_group.iter_mut().find(|(g, _)| *g == file.column_group) {
-                        Some(slot) => slot.1 += file.num_entries,
-                        None => per_group.push((file.column_group, file.num_entries)),
-                    }
-                }
-                per_group.iter().map(|&(_, n)| n).max().unwrap_or(0)
-            })
-            .sum();
-        let block = self.options().table.block_size;
-        MeasuredTreeParams {
-            num_entries: rows + self.memtable_len() as u64,
-            size_ratio: self.options().size_ratio,
-            entries_per_block: entries_per_block(total_bytes, total_entries, block),
-            level0_blocks: level0_blocks(self.options().level_capacity_bytes(0), block),
-            num_columns: self.schema().num_columns() as u32,
-        }
     }
 
     fn shard_workload_levels(&self) -> Vec<LevelMix> {
@@ -550,24 +248,12 @@ impl ShardEngine for LaserDb {
             .collect()
     }
 
-    fn shard_predicted_amps(&self) -> (f64, f64) {
-        predicted_amps(
-            &self.shard_tree_params(),
-            self.layout().clone(),
-            self.options().num_levels.max(1),
-        )
+    fn cost_layout(&self) -> LayoutSpec {
+        self.layout().clone()
     }
 
     fn read_ctx_columns(ctx: &Self::ReadCtx) -> Option<Vec<u32>> {
         Some(projection_columns(ctx))
-    }
-
-    fn shard_is_healthy(&self) -> bool {
-        self.is_healthy()
-    }
-
-    fn shard_degraded_reason(&self) -> Option<String> {
-        self.degraded_info().map(|info| info.reason)
     }
 }
 

@@ -15,8 +15,10 @@
 //!   ([`manifest::ShardManifest`]) in the root directory, so a reopened
 //!   database keeps its topology regardless of what the caller requests.
 //! * [`db::ShardedDb`] — the facade, generic over any engine implementing
-//!   [`engine::ShardEngine`] (both [`lsm_storage::LsmDb`] and
-//!   [`laser_core::LaserDb`] do). Point ops route to the owning shard;
+//!   [`engine::ShardEngine`]: a typed open/get/scan surface over the one
+//!   [`EngineShell`](lsm_storage::EngineShell) both [`lsm_storage::LsmDb`]
+//!   and [`laser_core::LaserDb`] deref to, so splits, trim, replication and
+//!   failover work for either. Point ops route to the owning shard;
 //!   [`types::WriteBatch`](lsm_storage::WriteBatch)es are split per shard and
 //!   acknowledged once, group-commit style, after every sub-batch is durable.
 //! * Cross-shard `scan`/`scan_at` run the per-shard scans on a small

@@ -79,11 +79,12 @@ pub(crate) fn monitor_tick<E: ShardEngine>(
     let sets = state.sets.read().clone();
     for (index, set) in sets.into_iter().enumerate() {
         let (leader, leader_slot) = set.leader();
-        let leader_seq = leader.shard_last_seq();
+        let leader_seq = leader.last_seq();
         // Cheap byte estimate for the lag gauge: average ingested bytes per
         // sequence number on the leader.
         let avg_bytes_per_seq = leader
-            .shard_ingest_bytes()
+            .stats()
+            .ingest_bytes
             .checked_div(leader_seq)
             .unwrap_or(0);
         let mut min_live_applied = leader_seq;
@@ -101,7 +102,7 @@ pub(crate) fn monitor_tick<E: ShardEngine>(
                 let entry = gauges
                     .entry((leader_slot, replica.slot))
                     .or_insert_with(|| {
-                        LagGauges::new(hub, E::ENGINE_NAME, leader_slot, replica.slot)
+                        LagGauges::new(hub, leader.config().label, leader_slot, replica.slot)
                     });
                 entry.seqs.set(lag);
                 entry.bytes.set(lag.saturating_mul(avg_bytes_per_seq));
@@ -164,13 +165,11 @@ pub(crate) fn monitor_tick<E: ShardEngine>(
         // Pin sealed WAL segments on every group member down to the slowest
         // live replica: the leader so it can still feed catch-up, the
         // replicas so a promoted survivor can feed its new siblings.
-        let _ = leader.shard_set_wal_retention_floor(min_live_applied);
+        let _ = leader.set_wal_retention_floor(min_live_applied);
         for replica in set.replicas() {
             let (_, replica_state) = replica.shared.applied();
             if replica_state != ReplicaState::Lost {
-                let _ = replica
-                    .engine
-                    .shard_set_wal_retention_floor(min_live_applied);
+                let _ = replica.engine.set_wal_retention_floor(min_live_applied);
             }
         }
         reprovision_missing(state, index, &set, telemetry);
@@ -206,7 +205,7 @@ fn reprovision_missing<E: ShardEngine>(
     let (leader, leader_slot) = set.leader();
     // A fail-stopped or degraded leader cannot seed a trustworthy
     // checkpoint; failover has to fix the leadership first.
-    if !leader.shard_is_healthy() {
+    if !leader.is_healthy() {
         return;
     }
     // A fresh slot from the leader's deterministic family: the first one not
@@ -244,12 +243,12 @@ fn reprovision_missing<E: ShardEngine>(
         Err(_) => return,
     };
     if let Some(scheduler) = &ctx.scheduler {
-        let _ = register_shard_engine_with(scheduler, &replica.engine);
+        let _ = register_shard_engine_with(scheduler, &**replica.engine);
     }
     if let Some(hub) = telemetry {
         replica
             .engine
-            .shard_attach_telemetry(hub, &replica.slot.to_string());
+            .attach_telemetry(hub, &replica.slot.to_string());
     }
     // Retire one lost handle per replacement so the group converges on the
     // configured factor instead of accumulating dead members.

@@ -252,7 +252,7 @@ impl<E: ShardEngine> ReplicaSet<E> {
         let (leader, leader_slot) = self.leader();
         ShardReplicationStatus {
             leader_slot,
-            leader_seq: leader.shard_last_seq(),
+            leader_seq: leader.last_seq(),
             replicas: self
                 .replicas()
                 .iter()
@@ -279,9 +279,9 @@ impl<E: ShardEngine> ReplicaSet<E> {
     ) -> Result<SeqNo> {
         let _ship = self.ship_lock.lock();
         let (leader, leader_slot) = self.leader();
-        let prev = leader.shard_last_seq();
-        leader.shard_write(batch)?;
-        let end = leader.shard_last_seq();
+        let prev = leader.last_seq();
+        leader.write(batch)?;
+        let end = leader.last_seq();
         if end == prev {
             return Ok(end);
         }
@@ -440,13 +440,13 @@ pub fn bootstrap_replica<E: ShardEngine>(
             options,
             None,
         )?);
-        engine.shard_set_key_bound(key_bound.0, key_bound.1);
+        engine.set_key_bound(key_bound.0, key_bound.1);
         match catch_up_direct(leader.as_ref(), engine.as_ref(), failpoint) {
             Ok(applied) => return Ok(Arc::new(ReplicaHandle::start(engine, slot, applied))),
             Err(Error::InvalidArgument(msg)) if msg.contains("replication gap") => {
                 // Too stale for the leader's retained WAL: re-seed from a
                 // fresh checkpoint.
-                engine.shard_close()?;
+                engine.close()?;
                 drop(engine);
                 provider.clear_shard(slot as usize)?;
                 last_err = Some(Error::invalid(msg));
@@ -501,13 +501,13 @@ fn catch_up_direct<E: ShardEngine>(
 ) -> Result<SeqNo> {
     // `shard_wal_catchup` takes the last *applied* sequence and returns
     // everything extending past it.
-    let from = replica.shard_last_seq();
-    let (segments, tail) = leader.shard_wal_catchup(from)?;
+    let from = replica.last_seq();
+    let (segments, tail) = leader.wal_catchup(from)?;
     // In-place adoption freezes a whole segment as an immutable memtable, so
     // it is only safe while nothing older sits in the replica's *mutable*
     // memtable (frozen memtables flush in queue order; the mutable always
     // flushes last and must therefore hold the newest sequences).
-    let mut adopt_ok = replica.shard_buffered_bytes() == 0;
+    let mut adopt_ok = replica.buffered_bytes() == 0;
     for segment in segments {
         if failpoint == Some(ReplicationFailpoint::MidSegmentShip) {
             return Err(Error::StorageFault(
@@ -515,7 +515,7 @@ fn catch_up_direct<E: ShardEngine>(
             ));
         }
         if adopt_ok {
-            match replica.shard_adopt_wal_segment(&segment.bytes) {
+            match replica.adopt_wal_segment(&segment.bytes) {
                 Ok(_) => continue,
                 Err(Error::InvalidArgument(msg)) if msg.contains("overlaps applied prefix") => {}
                 Err(e) => return Err(e),
@@ -525,9 +525,9 @@ fn catch_up_direct<E: ShardEngine>(
         adopt_ok = false;
     }
     for record in &tail {
-        replica.shard_apply_replicated(record.start_seq, &record.batch)?;
+        replica.apply_replicated(record.start_seq, &record.batch)?;
     }
-    Ok(replica.shard_last_seq())
+    Ok(replica.last_seq())
 }
 
 /// Decodes a segment image and applies its records one by one (the overlap
@@ -538,7 +538,7 @@ fn apply_segment_records<E: ShardEngine>(replica: &E, bytes: &[u8]) -> Result<()
         return Err(Error::corruption("torn segment image during catch-up"));
     }
     for record in &records {
-        replica.shard_apply_replicated(record.start_seq, &record.batch)?;
+        replica.apply_replicated(record.start_seq, &record.batch)?;
     }
     Ok(())
 }
@@ -558,7 +558,7 @@ pub fn reship_tail<E: ShardEngine>(
     let _ship = set.ship_lock.lock();
     let (leader, leader_slot) = set.leader();
     let (applied, _) = replica.shared.applied();
-    let (segments, tail) = leader.shard_wal_catchup(applied)?;
+    let (segments, tail) = leader.wal_catchup(applied)?;
     let mut shipped = 0usize;
     for segment in segments {
         let (records, clean, _) = lsm_storage::wal::decode_records(&segment.bytes)?;
@@ -600,15 +600,15 @@ pub fn reship_tail<E: ShardEngine>(
 /// Used at open to pull quorum-acknowledged writes that survived only on a
 /// replica back into the leader before it serves traffic.
 pub fn reconcile_from<E: ShardEngine>(source: &E, target: &E) -> Result<SeqNo> {
-    let from = target.shard_last_seq();
-    let (segments, tail) = source.shard_wal_catchup(from)?;
+    let from = target.last_seq();
+    let (segments, tail) = source.wal_catchup(from)?;
     for segment in segments {
         apply_segment_records(target, &segment.bytes)?;
     }
     for record in &tail {
-        target.shard_apply_replicated(record.start_seq, &record.batch)?;
+        target.apply_replicated(record.start_seq, &record.batch)?;
     }
-    Ok(target.shard_last_seq())
+    Ok(target.last_seq())
 }
 
 /// Records a replication event on the hub, labeled by leader slot.

@@ -280,11 +280,11 @@ fn apply_frame<E: ShardEngine>(engine: &E, bytes: &[u8]) -> Result<Option<SeqNo>
             }
             let mut applied = None;
             for record in &records {
-                applied = Some(engine.shard_apply_replicated(record.start_seq, &record.batch)?);
+                applied = Some(engine.apply_replicated(record.start_seq, &record.batch)?);
             }
             Ok(applied)
         }
-        Frame::Segment { image, .. } => match engine.shard_adopt_wal_segment(&image) {
+        Frame::Segment { image, .. } => match engine.adopt_wal_segment(&image) {
             Ok(applied) => Ok(Some(applied)),
             // Partially overlapping image: apply its records individually
             // (the engine trims the already-applied prefix per record).
@@ -295,7 +295,7 @@ fn apply_frame<E: ShardEngine>(engine: &E, bytes: &[u8]) -> Result<Option<SeqNo>
                 }
                 let mut applied = None;
                 for record in &records {
-                    applied = Some(engine.shard_apply_replicated(record.start_seq, &record.batch)?);
+                    applied = Some(engine.apply_replicated(record.start_seq, &record.batch)?);
                 }
                 Ok(applied)
             }

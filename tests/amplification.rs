@@ -6,7 +6,7 @@
 
 use laser::laser_core::{LaserDb, LaserOptions, LayoutSpec, RowFragment, Schema};
 use laser::laser_sharding::ShardEngine;
-use laser::lsm_storage::{LsmDb, LsmOptions};
+use laser::lsm_storage::{EngineMaintenance, LsmDb, LsmOptions};
 
 /// Options small enough that a few thousand keys span several flushes.
 fn lsm_options() -> LsmOptions {
@@ -24,7 +24,7 @@ fn ingest(db: &LsmDb, range: std::ops::Range<u64>) {
 }
 
 fn write_amp(db: &LsmDb) -> f64 {
-    let ingested = db.shard_ingest_bytes();
+    let ingested = db.stats().ingest_bytes;
     assert!(ingested > 0, "workload must have ingested bytes");
     db.shard_flush_compact_bytes() as f64 / ingested as f64
 }
@@ -70,7 +70,7 @@ fn space_amp_shrinks_after_trim_compaction() {
     // Adopt the shape a post-split child sees: the shard now owns only the
     // lower half of the keys it physically stores.
     db.set_key_bound(0, 2_000);
-    let before = db.shard_tree_shape();
+    let before = db.tree_shape();
     assert!(before.space_amp() > 1.5, "out-of-bounds bytes not visible");
 
     let mut trims = 0;
@@ -79,7 +79,7 @@ fn space_amp_shrinks_after_trim_compaction() {
     }
     assert!(trims > 0, "trim found nothing to reclaim");
 
-    let after = db.shard_tree_shape();
+    let after = db.tree_shape();
     assert!(
         after.space_amp() < before.space_amp(),
         "space amp did not shrink: {} -> {}",
@@ -107,14 +107,14 @@ fn laser_tree_shape_counts_column_groups_per_level() {
     db.flush().unwrap();
 
     // Level 0 is row-oriented: every flushed SST belongs to the single CG.
-    let shape = db.shard_tree_shape();
+    let shape = db.tree_shape();
     assert!(shape.levels[0].files > 0, "flush left no level-0 files");
     assert_eq!(shape.levels[0].column_groups, 1);
 
     // One CG-local compaction re-encodes the row run into level 1's two
     // equi-width groups; the shape counts both.
     db.compact_cg(0, 0).unwrap();
-    let shape = db.shard_tree_shape();
+    let shape = db.tree_shape();
     assert_eq!(shape.levels[0].files, 0);
     assert_eq!(
         shape.levels[1].column_groups,

@@ -21,28 +21,35 @@ use laser::lsm_storage::wal_segment::{parse_segment_file_name, segment_file_name
 use laser::lsm_storage::{LsmDb, LsmOptions};
 use laser::{LaserDb, LaserOptions, LayoutSpec, Projection, Schema, Value};
 
+mod common;
+
+use common::{get, open, put, row, TestEngine};
+
 /// Options for a durably-acknowledging engine: every `Ok` put means the WAL
 /// record is fsynced (group commit), which is what makes "recovered ==
 /// acknowledged" an exact equality rather than a prefix bound.
 fn durable_options() -> LsmOptions {
-    let mut options = LsmOptions::small_for_tests();
-    options.sync_wal = true;
-    options.auto_compact = false;
-    options
+    LsmDb::test_options(true, 0)
 }
 
+/// The value the row-engine scenarios write under `key` (what
+/// [`common::put`] writes with `seed == key`).
 fn value_for(key: u64) -> Vec<u8> {
-    format!("value-{key}").into_bytes()
+    LsmDb::payload(key, 0)
 }
 
 /// Asserts the reopened database holds exactly `acknowledged` among the keys
 /// in `universe`.
-fn assert_exact_contents(db: &LsmDb, universe: std::ops::Range<u64>, acknowledged: &[u64]) {
+fn assert_exact_contents<E: TestEngine>(
+    db: &E,
+    universe: std::ops::Range<u64>,
+    acknowledged: &[u64],
+) {
     let acked: std::collections::BTreeSet<u64> = acknowledged.iter().copied().collect();
     for key in universe {
-        let got = db.get(key).unwrap();
+        let got = get(db, key);
         if acked.contains(&key) {
-            assert_eq!(got, Some(value_for(key)), "acknowledged key {key} lost");
+            assert_eq!(got, row::<E>(key), "acknowledged key {key} lost");
         } else {
             assert_eq!(got, None, "unacknowledged key {key} resurrected");
         }
@@ -350,23 +357,29 @@ fn segment_with_only_a_torn_record() {
 }
 
 /// `remove_wal` deletes every segment (sealed and active), is idempotent,
-/// and afterwards only flushed data survives a reopen.
+/// and afterwards only flushed data survives a reopen — in either format.
 #[test]
 fn remove_wal_is_segment_aware_and_idempotent() {
+    remove_wal_scenario::<LsmDb>();
+    remove_wal_scenario::<LaserDb>();
+}
+
+fn remove_wal_scenario<E: TestEngine>() {
     let storage: StorageRef = MemStorage::new_ref();
+    let options = E::test_options(true, 0);
     {
-        let db = Arc::new(LsmDb::open(Arc::clone(&storage), durable_options()).unwrap());
+        let db: Arc<E> = Arc::new(open(Arc::clone(&storage), &options).unwrap());
         let scheduler = db.attach_maintenance(1).unwrap();
         for key in 0..30u64 {
-            db.put(key, value_for(key)).unwrap();
+            put(&*db, key, key).unwrap();
         }
         db.flush().unwrap();
         for key in 30..60u64 {
-            db.put(key, value_for(key)).unwrap();
+            put(&*db, key, key).unwrap();
         }
         assert!(db.freeze_memtable().unwrap());
         for key in 60..70u64 {
-            db.put(key, value_for(key)).unwrap();
+            put(&*db, key, key).unwrap();
         }
         // Several live segments now exist; remove them all, twice.
         db.remove_wal().unwrap();
@@ -379,21 +392,24 @@ fn remove_wal_is_segment_aware_and_idempotent() {
             .unwrap()
             .iter()
             .all(|n| parse_segment_file_name(n).is_none()),
-        "no WAL segment file may survive remove_wal"
+        "[{}] no WAL segment file may survive remove_wal",
+        E::NAME
     );
-    let db = LsmDb::open(storage, durable_options()).unwrap();
+    let db: E = open(storage, &options).unwrap();
     for key in 0..30u64 {
         assert_eq!(
-            db.get(key).unwrap(),
-            Some(value_for(key)),
-            "flushed key {key} lost"
+            get(&db, key),
+            row::<E>(key),
+            "[{}] flushed key {key} lost",
+            E::NAME
         );
     }
     for key in 30..70u64 {
         assert_eq!(
-            db.get(key).unwrap(),
+            get(&db, key),
             None,
-            "unflushed key {key} must be gone"
+            "[{}] unflushed key {key} must be gone",
+            E::NAME
         );
     }
 }
@@ -602,24 +618,29 @@ fn transient_fsync_error_seals_and_continues_in_fresh_segment() {
 
 /// Persistent ENOSPC degrades the engine to read-only: writes fail with a
 /// typed error, reads keep serving, and once space frees up the engine
-/// recovers on the next write — all without a reopen.
+/// recovers on the next write — all without a reopen. The degradation
+/// machinery is the shell's, so both formats run the same body.
 #[test]
 fn enospc_degrades_to_read_only_then_auto_recovers() {
-    let (storage, faults) = FaultStorage::wrap(MemStorage::new_ref(), 0xE05);
+    enospc_scenario::<LsmDb>(0xE05);
+    enospc_scenario::<LaserDb>(0x1A5);
+}
+
+fn enospc_scenario<E: TestEngine>(seed: u64) {
+    let (storage, faults) = FaultStorage::wrap(MemStorage::new_ref(), seed);
+    let options = E::test_options(true, 0);
     let mut acknowledged = Vec::new();
     {
-        let db = LsmDb::open(Arc::clone(&storage), durable_options()).unwrap();
+        let db: E = open(Arc::clone(&storage), &options).unwrap();
         for key in 0..24u64 {
-            db.put(key, value_for(key)).unwrap();
+            put(&db, key, key).unwrap();
             acknowledged.push(key);
         }
         // The disk fills: the write fails persistently and recovery probes
         // cannot succeed, so the engine parks itself read-only.
         faults.set_disk_full(true);
-        assert!(db.put(24, value_for(24)).is_err(), "ENOSPC must surface");
-        let err = db
-            .put(25, value_for(25))
-            .expect_err("a degraded engine must refuse writes");
+        assert!(put(&db, 24, 24).is_err(), "ENOSPC must surface");
+        let err = put(&db, 25, 25).expect_err("a degraded engine must refuse writes");
         assert!(
             err.is_read_only(),
             "expected a typed read-only error, got: {err}"
@@ -633,17 +654,18 @@ fn enospc_degrades_to_read_only_then_auto_recovers() {
         );
         // Reads keep serving every acknowledged key while degraded.
         for key in (0..24u64).step_by(5) {
-            assert_eq!(db.get(key).unwrap(), Some(value_for(key)));
+            assert_eq!(get(&db, key), row::<E>(key));
         }
         // Space frees up: the next write probes, recovers, and is acked.
         faults.set_disk_full(false);
-        db.put(26, value_for(26))
-            .expect("the engine must recover once space frees up");
+        put(&db, 26, 26).expect("the engine must recover once space frees up");
         acknowledged.push(26);
         assert!(db.degraded_info().is_none(), "recovery must clear the flag");
+        assert_eq!(get(&db, 26), row::<E>(26));
+        assert_eq!(get(&db, 24), None, "unacknowledged row resurrected");
         // Crash without closing.
     }
-    let db = LsmDb::open(storage, durable_options()).unwrap();
+    let db: E = open(storage, &options).unwrap();
     assert_exact_contents(&db, 0..30, &acknowledged);
 }
 
@@ -690,70 +712,6 @@ fn laser_crash_post_freeze_recovers_rows_and_updates() {
     }
 }
 
-/// `remove_wal` on the LASER engine: idempotent, segment-aware, and leaves
-/// only flushed data behind.
-#[test]
-fn laser_remove_wal_is_idempotent() {
-    let storage: StorageRef = MemStorage::new_ref();
-    {
-        let db = LaserDb::open(Arc::clone(&storage), laser_options()).unwrap();
-        for key in 0..50u64 {
-            db.insert_int_row(key, 0).unwrap();
-        }
-        db.flush().unwrap();
-        for key in 50..80u64 {
-            db.insert_int_row(key, 0).unwrap();
-        }
-        db.remove_wal().unwrap();
-        db.remove_wal().unwrap();
-    }
-    assert!(storage
-        .list()
-        .unwrap()
-        .iter()
-        .all(|n| parse_segment_file_name(n).is_none()));
-    let db = LaserDb::open(storage, laser_options()).unwrap();
-    let proj = Projection::of([0]);
-    assert!(db.read(10, &proj).unwrap().is_some(), "flushed row lost");
-    assert!(
-        db.read(60, &proj).unwrap().is_none(),
-        "unflushed row must be gone"
-    );
-}
-
-/// The LASER engine shares the degradation machinery: persistent ENOSPC
-/// parks it read-only (reads fine, writes typed errors), and it recovers in
-/// place once the fault clears.
-#[test]
-fn laser_enospc_degrades_and_recovers_in_place() {
-    let (storage, faults) = FaultStorage::wrap(MemStorage::new_ref(), 0x1A5);
-    let db = LaserDb::open(Arc::clone(&storage), laser_options()).unwrap();
-    for key in 0..20u64 {
-        db.insert_int_row(key, key as i64).unwrap();
-    }
-    faults.set_disk_full(true);
-    assert!(db.insert_int_row(20, 0).is_err(), "ENOSPC must surface");
-    let err = db
-        .insert_int_row(21, 0)
-        .expect_err("a degraded engine must refuse writes");
-    assert!(err.is_read_only(), "expected read-only, got: {err}");
-    assert!(db.degraded_info().is_some());
-    let proj = Projection::of([0]);
-    assert!(
-        db.read(7, &proj).unwrap().is_some(),
-        "reads must keep serving while degraded"
-    );
-    faults.set_disk_full(false);
-    db.insert_int_row(22, 22)
-        .expect("the engine must recover once the fault clears");
-    assert!(db.degraded_info().is_none());
-    assert!(db.read(22, &proj).unwrap().is_some());
-    assert!(
-        db.read(20, &proj).unwrap().is_none(),
-        "unacknowledged row resurrected"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Storage-fault matrix and chaos soak (CI: fault-matrix job, nightly soak)
 // ---------------------------------------------------------------------------
@@ -772,14 +730,12 @@ fn fault_seeds() -> Vec<u64> {
     }
 }
 
-fn fault_policies() -> Vec<(&'static str, LsmOptions)> {
-    let always = durable_options();
-    let mut interval = always.clone();
-    interval.sync_wal_interval_ms = 10;
+/// `(name, sync_wal_interval_ms)` of the durable WAL sync policies to run.
+fn fault_policies() -> Vec<(&'static str, u64)> {
     match std::env::var("LASER_FAULT_SYNC_POLICY").ok().as_deref() {
-        Some("always") => vec![("always", always)],
-        Some("interval") => vec![("interval", interval)],
-        _ => vec![("always", always), ("interval", interval)],
+        Some("always") => vec![("always", 0)],
+        Some("interval") => vec![("interval", 10)],
+        _ => vec![("always", 0), ("interval", 10)],
     }
 }
 
@@ -792,25 +748,32 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-/// {fsync-transient, ENOSPC, slow-io} × {WAL sync policy} × {seed}: every
-/// fault class heals on the live engine with zero acked-write loss. The CI
-/// `fault-matrix` job drives the policy and seed axes through
-/// `LASER_FAULT_SYNC_POLICY` / `LASER_FAULT_SEED`, like the failover
-/// harness.
+/// {LsmDb, LaserDb} × {fsync-transient, ENOSPC, slow-io} × {WAL sync policy}
+/// × {seed}: every fault class heals on the live engine with zero
+/// acked-write loss, in both level formats. The CI `fault-matrix` job drives
+/// the policy and seed axes through `LASER_FAULT_SYNC_POLICY` /
+/// `LASER_FAULT_SEED`, like the failover harness.
 #[test]
 fn storage_fault_matrix_heals_with_zero_acked_loss() {
-    for (policy, options) in fault_policies() {
+    storage_fault_matrix::<LsmDb>();
+    storage_fault_matrix::<LaserDb>();
+}
+
+fn storage_fault_matrix<E: TestEngine>() {
+    let engine = E::NAME;
+    for (policy, interval_ms) in fault_policies() {
+        let options = E::test_options(true, interval_ms);
         for seed in fault_seeds() {
-            eprintln!("scenario storage_fault policy={policy} seed={seed}");
+            eprintln!("scenario storage_fault engine={engine} policy={policy} seed={seed}");
             let (storage, faults) = FaultStorage::wrap(MemStorage::new_ref(), seed);
-            let db = LsmDb::open(Arc::clone(&storage), options.clone()).unwrap();
+            let db: E = open(Arc::clone(&storage), &options).unwrap();
             let mut acked: Vec<u64> = Vec::new();
             let mut next_key = 0u64;
-            let mut ingest = |db: &LsmDb, acked: &mut Vec<u64>, count: u64| {
+            let mut ingest = |db: &E, acked: &mut Vec<u64>, count: u64| {
                 for _ in 0..count {
                     let key = next_key;
                     next_key += 1;
-                    if db.put(key, value_for(key)).is_ok() {
+                    if put(db, key, key).is_ok() {
                         acked.push(key);
                     }
                 }
@@ -828,9 +791,9 @@ fn storage_fault_matrix_heals_with_zero_acked_loss() {
             ingest(&db, &mut acked, 5);
             let probe = acked[0];
             assert_eq!(
-                db.get(probe).unwrap(),
-                Some(value_for(probe)),
-                "[{policy}/{seed}] reads must keep serving under ENOSPC"
+                get(&db, probe),
+                row::<E>(probe),
+                "[{engine}/{policy}/{seed}] reads must keep serving under ENOSPC"
             );
             faults.set_disk_full(false);
             ingest(&db, &mut acked, 10);
@@ -842,28 +805,28 @@ fn storage_fault_matrix_heals_with_zero_acked_loss() {
             assert_eq!(
                 acked.len(),
                 before + 10,
-                "[{policy}/{seed}] latency alone must not refuse writes"
+                "[{engine}/{policy}/{seed}] latency alone must not refuse writes"
             );
             faults.clear();
 
             assert!(
                 db.degraded_info().is_none(),
-                "[{policy}/{seed}] the engine must end the matrix healthy"
+                "[{engine}/{policy}/{seed}] the engine must end the matrix healthy"
             );
             for key in &acked {
                 assert_eq!(
-                    db.get(*key).unwrap(),
-                    Some(value_for(*key)),
-                    "[{policy}/{seed}] acked key {key} lost on the live engine"
+                    get(&db, *key),
+                    row::<E>(*key),
+                    "[{engine}/{policy}/{seed}] acked key {key} lost on the live engine"
                 );
             }
             drop(db); // the WAL syncs on drop, so reopen keeps both policies exact
-            let db = LsmDb::open(Arc::clone(&storage), options.clone()).unwrap();
+            let db: E = open(Arc::clone(&storage), &options).unwrap();
             for key in &acked {
                 assert_eq!(
-                    db.get(*key).unwrap(),
-                    Some(value_for(*key)),
-                    "[{policy}/{seed}] acked key {key} lost across reopen"
+                    get(&db, *key),
+                    row::<E>(*key),
+                    "[{engine}/{policy}/{seed}] acked key {key} lost across reopen"
                 );
             }
         }
@@ -872,20 +835,27 @@ fn storage_fault_matrix_heals_with_zero_acked_loss() {
 
 /// Nightly chaos soak: a seeded randomized fault schedule — transient fsync
 /// bursts, torn appends, ENOSPC windows, transient EIO, latency — against a
-/// live engine. The invariant checked after every heal: every acknowledged
-/// write is readable, on the live engine and across a final reopen.
-/// `CHAOS_ROUNDS` scales the duration (default 25 rounds per seed).
+/// live engine of each format. The invariant checked after every heal: every
+/// acknowledged write is readable, on the live engine and across a final
+/// reopen. `CHAOS_ROUNDS` scales the duration (default 25 rounds per seed).
 #[test]
 #[ignore = "nightly soak — run with --ignored; CHAOS_ROUNDS scales duration"]
 fn chaos_soak_every_acked_write_readable_after_heal() {
+    chaos_soak::<LsmDb>();
+    chaos_soak::<LaserDb>();
+}
+
+fn chaos_soak<E: TestEngine>() {
+    let engine = E::NAME;
     let rounds: u64 = std::env::var("CHAOS_ROUNDS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(25);
+    let options = E::test_options(true, 0);
     for seed in fault_seeds() {
-        eprintln!("scenario chaos_soak seed={seed} rounds={rounds}");
+        eprintln!("scenario chaos_soak engine={engine} seed={seed} rounds={rounds}");
         let (storage, faults) = FaultStorage::wrap(MemStorage::new_ref(), seed);
-        let db = LsmDb::open(Arc::clone(&storage), durable_options()).unwrap();
+        let db: E = open(Arc::clone(&storage), &options).unwrap();
         let mut acked = std::collections::BTreeSet::new();
         let mut rng = seed | 1;
         let mut next_key = 0u64;
@@ -900,7 +870,7 @@ fn chaos_soak_every_acked_write_readable_after_heal() {
             for _ in 0..20 {
                 let key = next_key;
                 next_key += 1;
-                if db.put(key, value_for(key)).is_ok() {
+                if put(&db, key, key).is_ok() {
                     acked.insert(key);
                 }
             }
@@ -908,25 +878,25 @@ fn chaos_soak_every_acked_write_readable_after_heal() {
             faults.clear();
             let probe = next_key;
             next_key += 1;
-            db.put(probe, value_for(probe)).unwrap_or_else(|e| {
-                panic!("seed {seed} round {round}: post-heal write not acked: {e}")
+            put(&db, probe, probe).unwrap_or_else(|e| {
+                panic!("{engine} seed {seed} round {round}: post-heal write not acked: {e}")
             });
             acked.insert(probe);
             for key in acked.iter().step_by(7) {
                 assert_eq!(
-                    db.get(*key).unwrap(),
-                    Some(value_for(*key)),
-                    "seed {seed} round {round}: acked key {key} lost after heal"
+                    get(&db, *key),
+                    row::<E>(*key),
+                    "{engine} seed {seed} round {round}: acked key {key} lost after heal"
                 );
             }
         }
         drop(db);
-        let db = LsmDb::open(storage, durable_options()).unwrap();
+        let db: E = open(storage, &options).unwrap();
         for key in &acked {
             assert_eq!(
-                db.get(*key).unwrap(),
-                Some(value_for(*key)),
-                "seed {seed}: acked key {key} lost across the final reopen"
+                get(&db, *key),
+                row::<E>(*key),
+                "{engine} seed {seed}: acked key {key} lost across the final reopen"
             );
         }
     }

@@ -13,25 +13,34 @@
 //! * `LASER_FAULT_SEED` — comma-separated u64 seeds for the deterministic
 //!   workload generator; unset uses a small built-in set.
 //!
-//! Every scenario run prints its `(scenario, policy, seed)` triple, so a
-//! failing matrix cell is reproducible locally by exporting those two
-//! variables and re-running the named test.
+//! Every scenario is written once against the shared [`TestEngine`] adapter
+//! and runs for both level formats of the engine shell, `ShardedDb<LsmDb>`
+//! and `ShardedDb<LaserDb>` (the `*_laser` tests). Each run prints its
+//! `(engine, scenario, policy, seed)` line, so a failing matrix cell is
+//! reproducible locally by exporting those two variables and re-running the
+//! named test.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use laser::laser_sharding::{
-    MemShardStorage, ReplicaState, ReplicationConfig, ReplicationFailpoint, ShardStorageProvider,
-    ShardedDb, ShardedOptions,
+    AckMode, MemShardStorage, ReplicaState, ReplicationConfig, ReplicationFailpoint, ShardSnapshot,
+    ShardStorageProvider, ShardedDb, ShardedOptions,
 };
 use laser::lsm_storage::storage::StorageRef;
 use laser::lsm_storage::types::WriteBatch;
-use laser::lsm_storage::{FaultConfig, FaultInjectingStorage, LsmDb, LsmOptions, Result};
+use laser::lsm_storage::{FaultConfig, FaultInjectingStorage, LsmDb, Result};
+use laser::LaserDb;
 
-/// Reference model of every *acknowledged* write. Unacknowledged writes
-/// (e.g. the batch in flight at a failpoint) are deliberately absent:
-/// recovery may keep or drop them, but must keep everything in here.
+mod common;
+
+use common::TestEngine;
+
+/// Reference model of every *acknowledged* write, as the payload written
+/// under each key. Unacknowledged writes (e.g. the batch in flight at a
+/// failpoint) are deliberately absent: recovery may keep or drop them, but
+/// must keep everything in here.
 type Model = BTreeMap<u64, Vec<u8>>;
 
 // ---------------------------------------------------------------------------
@@ -80,20 +89,23 @@ fn seeds_from_env() -> Vec<u64> {
     }
 }
 
-fn lsm_options(policy: SyncPolicy) -> LsmOptions {
-    let mut options = LsmOptions::small_for_tests();
-    options.auto_compact = false;
+fn engine_options<E: TestEngine>(policy: SyncPolicy) -> E::Options {
     match policy {
-        SyncPolicy::EveryCommit => {
-            options.sync_wal = true;
-            options.sync_wal_interval_ms = 0;
-        }
-        SyncPolicy::Interval => {
-            options.sync_wal = false;
-            options.sync_wal_interval_ms = 10;
-        }
+        SyncPolicy::EveryCommit => E::test_options(true, 0),
+        SyncPolicy::Interval => E::test_options(false, 10),
     }
-    options
+}
+
+/// `engine=<name> <scenario> policy=<policy> seed=<seed>`: the line every
+/// scenario run prints and prefixes its assertions with.
+fn scenario_ctx<E: TestEngine>(scenario: &str, policy: SyncPolicy, seed: u64) -> String {
+    let ctx = format!(
+        "engine={} {scenario} policy={} seed={seed}",
+        E::NAME,
+        policy.name()
+    );
+    eprintln!("scenario {ctx}");
+    ctx
 }
 
 /// Quorum-acked 2-replica groups with a fast monitor and without the
@@ -139,8 +151,8 @@ fn workload_key(r: u64) -> u64 {
 /// Applies `batches` random batches (1-4 entries, both shards) and records
 /// every *acknowledged* one in the model. Panics (with context) if an
 /// ordinary quorum write fails.
-fn write_workload(
-    db: &ShardedDb<LsmDb>,
+fn write_workload<E: TestEngine>(
+    db: &ShardedDb<E>,
     rng: &mut u64,
     model: &mut Model,
     batches: usize,
@@ -151,38 +163,126 @@ fn write_workload(
         let mut staged = Vec::new();
         for _ in 0..(xorshift(rng) % 4 + 1) {
             let key = workload_key(xorshift(rng));
-            let value = xorshift(rng).to_le_bytes().to_vec();
-            batch.put(key, value.clone());
-            staged.push((key, value));
+            let payload = E::payload(xorshift(rng), 0);
+            batch.put(key, payload.clone());
+            staged.push((key, payload));
         }
         db.write(&batch)
             .unwrap_or_else(|e| panic!("[{ctx}] workload batch {i} not acked: {e}"));
-        for (key, value) in staged {
-            model.insert(key, value);
-        }
+        model.extend(staged);
     }
 }
 
 /// Every acked write must be present with its acked value.
-fn verify_model(db: &ShardedDb<LsmDb>, model: &Model, ctx: &str) {
+fn verify_model<E: TestEngine>(db: &ShardedDb<E>, model: &Model, ctx: &str) {
     for (key, expected) in model {
         let got = db
-            .get(*key, &())
+            .get(*key, &E::all_columns())
             .unwrap_or_else(|e| panic!("[{ctx}] get({key}) failed: {e}"));
         assert_eq!(
-            got.as_ref(),
-            Some(expected),
+            got,
+            Some(E::value(expected)),
             "[{ctx}] acked write lost or corrupted at key {key}"
         );
     }
 }
 
-fn open(
+/// Every acked write read at `snapshot` (replica routing included) must be
+/// byte-identical to the acked history.
+fn verify_model_at<E: TestEngine>(
+    db: &ShardedDb<E>,
+    model: &Model,
+    snapshot: &ShardSnapshot,
+    ctx: &str,
+) {
+    for (key, expected) in model {
+        let got = db
+            .get_at(*key, &E::all_columns(), snapshot)
+            .unwrap_or_else(|e| panic!("[{ctx}] get_at({key}) failed: {e}"));
+        assert_eq!(
+            got,
+            Some(E::value(expected)),
+            "[{ctx}] snapshot read diverged at key {key}"
+        );
+    }
+}
+
+/// Blocks until every replica streams and has applied `snapshot`'s horizon,
+/// so snapshot reads are eligible for replica routing.
+fn wait_for_snapshot_horizon<E: TestEngine>(
+    db: &ShardedDb<E>,
+    snapshot: &ShardSnapshot,
+    ctx: &str,
+) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let caught_up =
+            db.replication_status()
+                .iter()
+                .zip(snapshot.seqs())
+                .all(|(status, &seq)| {
+                    status
+                        .replicas
+                        .iter()
+                        .all(|r| r.state == ReplicaState::Streaming && r.applied_seq >= seq)
+                });
+        if caught_up {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "[{ctx}] replicas never reached the snapshot horizon"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+fn open<E: TestEngine>(
     provider: Arc<MemShardStorage>,
     policy: SyncPolicy,
     config: ReplicationConfig,
-) -> Result<ShardedDb<LsmDb>> {
-    ShardedDb::open(provider, lsm_options(policy), sharded_options(config))
+) -> Result<ShardedDb<E>> {
+    ShardedDb::open(
+        provider,
+        engine_options::<E>(policy),
+        sharded_options(config),
+    )
+}
+
+/// Instantiates each engine-generic scenario for both formats.
+macro_rules! for_both_engines {
+    ($($scenario:ident => $lsm:ident, $laser:ident;)*) => {$(
+        #[test]
+        fn $lsm() {
+            $scenario::<LsmDb>();
+        }
+
+        #[test]
+        fn $laser() {
+            $scenario::<LaserDb>();
+        }
+    )*};
+}
+
+for_both_engines! {
+    mid_tail_frame => crash_matrix_mid_tail_frame, crash_matrix_mid_tail_frame_laser;
+    mid_segment_ship => crash_matrix_mid_segment_ship, crash_matrix_mid_segment_ship_laser;
+    mid_promotion_intent =>
+        crash_matrix_mid_promotion_intent, crash_matrix_mid_promotion_intent_laser;
+    post_promotion_pre_cleanup =>
+        crash_matrix_post_promotion_pre_cleanup, crash_matrix_post_promotion_pre_cleanup_laser;
+    auto_failover =>
+        auto_failover_promotes_replica_on_leader_wal_fail_stop,
+        auto_failover_promotes_replica_on_leader_wal_fail_stop_laser;
+    reprovision =>
+        reprovision_restores_replication_factor_after_promotion,
+        reprovision_restores_replication_factor_after_promotion_laser;
+    replica_reads =>
+        replica_reads_byte_identical_at_snapshot_horizon,
+        replica_reads_byte_identical_at_snapshot_horizon_laser;
+    leader_only_acks =>
+        leader_only_acks_converge_without_waiting,
+        leader_only_acks_converge_without_waiting_laser;
 }
 
 // ---------------------------------------------------------------------------
@@ -193,27 +293,25 @@ fn open(
 /// shipping the live-tail frame (the first replica receives a torn frame).
 /// The write is not acknowledged; after the crash and reopen nothing acked
 /// is lost and the group converges again.
-#[test]
-fn crash_matrix_mid_tail_frame() {
+fn mid_tail_frame<E: TestEngine>() {
     for policy in policies_from_env() {
         for seed in seeds_from_env() {
-            let ctx = format!("mid_tail_frame policy={} seed={seed}", policy.name());
-            eprintln!("scenario {ctx}");
+            let ctx = scenario_ctx::<E>("mid_tail_frame", policy, seed);
             let provider = MemShardStorage::new_ref();
             let mut model = Model::new();
             let mut rng = seed | 1;
 
-            let db = open(provider.clone(), policy, replication_config()).unwrap();
+            let db = open::<E>(provider.clone(), policy, replication_config()).unwrap();
             write_workload(&db, &mut rng, &mut model, 30, &ctx);
 
             db.set_replication_failpoint(Some(ReplicationFailpoint::MidTailFrame));
             let mut doomed = WriteBatch::new();
-            doomed.put(950, b"never-acked".to_vec());
+            doomed.put(950, E::payload(950, 0));
             let err = db.write(&doomed);
             assert!(err.is_err(), "[{ctx}] torn-frame write must not be acked");
             drop(db); // crash: no close, queues and monitor die with the process
 
-            let db = open(provider.clone(), policy, replication_config()).unwrap();
+            let db = open::<E>(provider.clone(), policy, replication_config()).unwrap();
             verify_model(&db, &model, &ctx);
             // The group still accepts quorum writes after recovery.
             write_workload(&db, &mut rng, &mut model, 10, &ctx);
@@ -226,32 +324,30 @@ fn crash_matrix_mid_tail_frame() {
 /// Mid segment ship: the leader dies while streaming a sealed WAL segment to
 /// a bootstrapping replica. The open fails (the replica never converges), a
 /// retry without the fault bootstraps cleanly, and nothing acked is lost.
-#[test]
-fn crash_matrix_mid_segment_ship() {
+fn mid_segment_ship<E: TestEngine>() {
     for policy in policies_from_env() {
         for seed in seeds_from_env() {
-            let ctx = format!("mid_segment_ship policy={} seed={seed}", policy.name());
-            eprintln!("scenario {ctx}");
+            let ctx = scenario_ctx::<E>("mid_segment_ship", policy, seed);
             let provider = MemShardStorage::new_ref();
             let mut model = Model::new();
             let mut rng = seed | 1;
 
             // Seed an unreplicated leader with enough data to roll several
             // WAL segments, then crash it (no close, no flush).
-            let db: ShardedDb<LsmDb> = ShardedDb::open(
+            let db: ShardedDb<E> = ShardedDb::open(
                 provider.clone(),
-                lsm_options(policy),
+                engine_options::<E>(policy),
                 ShardedOptions::with_boundaries(vec![1000]),
             )
             .unwrap();
             for _ in 0..6 {
                 let mut batch = WriteBatch::new();
                 let key = workload_key(xorshift(&mut rng));
-                let value = vec![(xorshift(&mut rng) % 256) as u8; 4 << 10];
-                batch.put(key, value.clone());
+                let payload = E::payload(xorshift(&mut rng), 4 << 10);
+                batch.put(key, payload.clone());
                 db.write(&batch)
                     .unwrap_or_else(|e| panic!("[{ctx}] seed write: {e}"));
-                model.insert(key, value);
+                model.insert(key, payload);
             }
             drop(db);
 
@@ -259,13 +355,13 @@ fn crash_matrix_mid_segment_ship() {
             // fresh replica up from those sealed segments.
             let mut faulty = replication_config();
             faulty.failpoint = Some(ReplicationFailpoint::MidSegmentShip);
-            let err = open(provider.clone(), policy, faulty);
+            let err = open::<E>(provider.clone(), policy, faulty);
             assert!(
                 err.is_err(),
                 "[{ctx}] bootstrap must fail at the mid-segment-ship failpoint"
             );
 
-            let db = open(provider.clone(), policy, replication_config()).unwrap();
+            let db = open::<E>(provider.clone(), policy, replication_config()).unwrap();
             verify_model(&db, &model, &ctx);
             write_workload(&db, &mut rng, &mut model, 10, &ctx);
             verify_model(&db, &model, &ctx);
@@ -277,17 +373,15 @@ fn crash_matrix_mid_segment_ship() {
 /// Mid promotion intent: the process dies while writing `SHARDS.promote`
 /// (a torn intent is left on disk). The torn intent is ignored on reopen —
 /// the old leader stays leader and nothing acked is lost.
-#[test]
-fn crash_matrix_mid_promotion_intent() {
+fn mid_promotion_intent<E: TestEngine>() {
     for policy in policies_from_env() {
         for seed in seeds_from_env() {
-            let ctx = format!("mid_promotion_intent policy={} seed={seed}", policy.name());
-            eprintln!("scenario {ctx}");
+            let ctx = scenario_ctx::<E>("mid_promotion_intent", policy, seed);
             let provider = MemShardStorage::new_ref();
             let mut model = Model::new();
             let mut rng = seed | 1;
 
-            let db = open(provider.clone(), policy, replication_config()).unwrap();
+            let db = open::<E>(provider.clone(), policy, replication_config()).unwrap();
             write_workload(&db, &mut rng, &mut model, 30, &ctx);
             let leader_before = db.replication_status()[0].leader_slot;
 
@@ -299,7 +393,7 @@ fn crash_matrix_mid_promotion_intent() {
             );
             drop(db);
 
-            let db = open(provider.clone(), policy, replication_config()).unwrap();
+            let db = open::<E>(provider.clone(), policy, replication_config()).unwrap();
             let status = db.replication_status();
             assert_eq!(
                 status[0].leader_slot, leader_before,
@@ -317,20 +411,15 @@ fn crash_matrix_mid_promotion_intent() {
 /// committed the new leader but before the old leader's slot was cleaned
 /// up. Reopen rolls the promotion forward (the promoted replica serves as
 /// leader) and nothing acked is lost.
-#[test]
-fn crash_matrix_post_promotion_pre_cleanup() {
+fn post_promotion_pre_cleanup<E: TestEngine>() {
     for policy in policies_from_env() {
         for seed in seeds_from_env() {
-            let ctx = format!(
-                "post_promotion_pre_cleanup policy={} seed={seed}",
-                policy.name()
-            );
-            eprintln!("scenario {ctx}");
+            let ctx = scenario_ctx::<E>("post_promotion_pre_cleanup", policy, seed);
             let provider = MemShardStorage::new_ref();
             let mut model = Model::new();
             let mut rng = seed | 1;
 
-            let db = open(provider.clone(), policy, replication_config()).unwrap();
+            let db = open::<E>(provider.clone(), policy, replication_config()).unwrap();
             write_workload(&db, &mut rng, &mut model, 30, &ctx);
             let leader_before = db.replication_status()[0].leader_slot;
 
@@ -342,7 +431,7 @@ fn crash_matrix_post_promotion_pre_cleanup() {
             );
             drop(db);
 
-            let db = open(provider.clone(), policy, replication_config()).unwrap();
+            let db = open::<E>(provider.clone(), policy, replication_config()).unwrap();
             let status = db.replication_status();
             assert_ne!(
                 status[0].leader_slot, leader_before,
@@ -408,12 +497,10 @@ impl ShardStorageProvider for FaultyShardStorage {
 /// Fail-stopping the leader's WAL mid-stream makes the next write promote
 /// the best replica automatically and succeed against it; the demoted
 /// leader's acked writes all survive on the new leader.
-#[test]
-fn auto_failover_promotes_replica_on_leader_wal_fail_stop() {
+fn auto_failover<E: TestEngine>() {
     for policy in policies_from_env() {
         for seed in seeds_from_env() {
-            let ctx = format!("auto_failover policy={} seed={seed}", policy.name());
-            eprintln!("scenario {ctx}");
+            let ctx = scenario_ctx::<E>("auto_failover", policy, seed);
             let provider = FaultyShardStorage::new();
             let mut model = Model::new();
             let mut rng = seed | 1;
@@ -422,9 +509,9 @@ fn auto_failover_promotes_replica_on_leader_wal_fail_stop() {
             // the monitor must not race a replacement into the set.
             let mut config = replication_config();
             config.auto_reprovision = false;
-            let db: ShardedDb<LsmDb> = ShardedDb::open(
+            let db: ShardedDb<E> = ShardedDb::open(
                 provider.clone(),
-                lsm_options(policy),
+                engine_options::<E>(policy),
                 sharded_options(config),
             )
             .unwrap();
@@ -443,10 +530,10 @@ fn auto_failover_promotes_replica_on_leader_wal_fail_stop() {
             // The next write routed to shard 0 fail-stops the old leader,
             // triggers promotion and must still be acknowledged.
             let mut batch = WriteBatch::new();
-            batch.put(10, b"after-failover".to_vec());
+            batch.put(10, E::payload(10, 0));
             db.write(&batch)
                 .unwrap_or_else(|e| panic!("[{ctx}] failover write not acked: {e}"));
-            model.insert(10, b"after-failover".to_vec());
+            model.insert(10, E::payload(10, 0));
 
             let status_after = db.replication_status();
             assert_ne!(
@@ -473,12 +560,10 @@ fn auto_failover_promotes_replica_on_leader_wal_fail_stop() {
 /// bootstraps a replacement into a fresh slot: the set returns to the
 /// configured replication factor, and snapshot reads served with replica
 /// routing stay byte-identical to the acked history.
-#[test]
-fn reprovision_restores_replication_factor_after_promotion() {
+fn reprovision<E: TestEngine>() {
     for policy in policies_from_env() {
         for seed in seeds_from_env() {
-            let ctx = format!("reprovision policy={} seed={seed}", policy.name());
-            eprintln!("scenario {ctx}");
+            let ctx = scenario_ctx::<E>("reprovision", policy, seed);
             let provider = MemShardStorage::new_ref();
             let mut model = Model::new();
             let mut rng = seed | 1;
@@ -486,7 +571,7 @@ fn reprovision_restores_replication_factor_after_promotion() {
             let mut config = replication_config();
             config.replica_reads = true;
             config.freshness_bound_seqs = 0;
-            let db = open(provider.clone(), policy, config).unwrap();
+            let db = open::<E>(provider.clone(), policy, config).unwrap();
             write_workload(&db, &mut rng, &mut model, 30, &ctx);
 
             let factor = db.replication_status()[0].replicas.len();
@@ -529,37 +614,8 @@ fn reprovision_restores_replication_factor_after_promotion() {
             // ...and snapshot reads (replica routing included) stay
             // byte-identical once the rebuilt replica reaches the horizon.
             let snapshot = db.snapshot();
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let caught_up =
-                    db.replication_status()
-                        .iter()
-                        .zip(snapshot.seqs())
-                        .all(|(status, &seq)| {
-                            status
-                                .replicas
-                                .iter()
-                                .all(|r| r.state == ReplicaState::Streaming && r.applied_seq >= seq)
-                        });
-                if caught_up {
-                    break;
-                }
-                assert!(
-                    Instant::now() < deadline,
-                    "[{ctx}] replicas never reached the snapshot horizon"
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            for (key, expected) in &model {
-                let got = db
-                    .get_at(*key, &(), &snapshot)
-                    .unwrap_or_else(|e| panic!("[{ctx}] get_at({key}) failed: {e}"));
-                assert_eq!(
-                    got.as_ref(),
-                    Some(expected),
-                    "[{ctx}] snapshot read diverged at key {key}"
-                );
-            }
+            wait_for_snapshot_horizon(&db, &snapshot, &ctx);
+            verify_model_at(&db, &model, &snapshot, &ctx);
             db.close().unwrap();
         }
     }
@@ -572,12 +628,10 @@ fn reprovision_restores_replication_factor_after_promotion() {
 /// With replica reads enabled, point reads and cross-shard scans served at
 /// a snapshot horizon are byte-identical to the acked history, whether a
 /// replica or the leader answered; the scan legs fan out to replicas too.
-#[test]
-fn replica_reads_byte_identical_at_snapshot_horizon() {
+fn replica_reads<E: TestEngine>() {
     for policy in policies_from_env() {
         for seed in seeds_from_env() {
-            let ctx = format!("replica_reads policy={} seed={seed}", policy.name());
-            eprintln!("scenario {ctx}");
+            let ctx = scenario_ctx::<E>("replica_reads", policy, seed);
             let provider = MemShardStorage::new_ref();
             let mut model = Model::new();
             let mut rng = seed | 1;
@@ -585,50 +639,53 @@ fn replica_reads_byte_identical_at_snapshot_horizon() {
             let mut config = replication_config();
             config.replica_reads = true;
             config.freshness_bound_seqs = 0;
-            let db = open(provider.clone(), policy, config).unwrap();
+            let db = open::<E>(provider.clone(), policy, config).unwrap();
             write_workload(&db, &mut rng, &mut model, 40, &ctx);
 
             // Wait until every replica holds the full snapshot horizon, so
             // snapshot reads are eligible for replica routing.
             let snapshot = db.snapshot();
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let caught_up =
-                    db.replication_status()
-                        .iter()
-                        .zip(snapshot.seqs())
-                        .all(|(status, &seq)| {
-                            status
-                                .replicas
-                                .iter()
-                                .all(|r| r.state == ReplicaState::Streaming && r.applied_seq >= seq)
-                        });
-                if caught_up {
-                    break;
-                }
-                assert!(
-                    Instant::now() < deadline,
-                    "[{ctx}] replicas never reached the snapshot horizon"
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-
-            for (key, expected) in &model {
-                let got = db
-                    .get_at(*key, &(), &snapshot)
-                    .unwrap_or_else(|e| panic!("[{ctx}] get_at({key}) failed: {e}"));
-                assert_eq!(
-                    got.as_ref(),
-                    Some(expected),
-                    "[{ctx}] snapshot read diverged at key {key}"
-                );
-            }
-            let scanned: Model = db
-                .scan_at(0, 2000, &(), &snapshot)
-                .unwrap_or_else(|e| panic!("[{ctx}] scan_at failed: {e}"))
-                .into_iter()
+            wait_for_snapshot_horizon(&db, &snapshot, &ctx);
+            verify_model_at(&db, &model, &snapshot, &ctx);
+            // Byte identity of the all-column cross-shard scan.
+            let scanned = db
+                .scan_at(0, 2000, &E::all_columns(), &snapshot)
+                .unwrap_or_else(|e| panic!("[{ctx}] scan_at failed: {e}"));
+            let expected: Vec<(u64, E::Value)> = model
+                .iter()
+                .map(|(key, payload)| (*key, E::value(payload)))
                 .collect();
-            assert_eq!(scanned, model, "[{ctx}] cross-shard scan diverged");
+            assert_eq!(scanned, expected, "[{ctx}] cross-shard scan diverged");
+            db.close().unwrap();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Leader-only acknowledgement
+// ---------------------------------------------------------------------------
+
+/// Under `AckMode::LeaderOnly` a write is acknowledged at the leader's WAL
+/// and shipped asynchronously: the replicas still converge on the full
+/// history, and snapshot reads routed to them are byte-identical.
+fn leader_only_acks<E: TestEngine>() {
+    for policy in policies_from_env() {
+        for seed in seeds_from_env() {
+            let ctx = scenario_ctx::<E>("leader_only_acks", policy, seed);
+            let mut model = Model::new();
+            let mut rng = seed | 1;
+
+            let mut config = replication_config();
+            config.ack_mode = AckMode::LeaderOnly;
+            config.replica_reads = true;
+            config.freshness_bound_seqs = 0;
+            let db = open::<E>(MemShardStorage::new_ref(), policy, config).unwrap();
+            write_workload(&db, &mut rng, &mut model, 40, &ctx);
+            verify_model(&db, &model, &ctx);
+
+            let snapshot = db.snapshot();
+            wait_for_snapshot_horizon(&db, &snapshot, &ctx);
+            verify_model_at(&db, &model, &snapshot, &ctx);
             db.close().unwrap();
         }
     }

@@ -13,7 +13,7 @@ use laser::laser_sharding::manifest::{read_split_intent, write_split_intent, Spl
 use laser::laser_sharding::{MemShardStorage, ShardStorageProvider, ShardedDb, ShardedOptions};
 use laser::lsm_storage::cache::ENTRY_OVERHEAD;
 use laser::lsm_storage::types::WriteBatch;
-use laser::lsm_storage::{BlockCache, LsmDb, LsmOptions, TableOptions};
+use laser::lsm_storage::{BlockCache, EngineMaintenance, LsmDb, LsmOptions, TableOptions};
 use laser::{
     DirShardStorage, LaserDb, LaserOptions, LayoutSpec, Projection, RowFragment, Schema,
     SplitFailpoint, SplitPolicy,
@@ -554,6 +554,94 @@ fn split_shard_live_preserves_data_and_matches_no_split_trace() {
         reopened.scan(0, 4000, &()).unwrap(),
         control.scan(0, 4000, &()).unwrap()
     );
+}
+
+/// The paper's engine splits like the row engine: key-bound trim is the
+/// shell's, so the children of a `LaserDb` shard under the paper's `D-opt`
+/// layout (data spread over several column-group levels) trim to completion
+/// in the background, reclaim the out-of-range halves, and keep serving
+/// byte-identical rows.
+#[test]
+fn laser_split_children_trim_to_completion() {
+    const ROWS: u64 = 3000;
+    let schema = Schema::with_columns(30);
+    let all = Projection::all(&schema);
+    let columns = schema.num_columns();
+    let options = LaserOptions::small_for_tests(LayoutSpec::d_opt_paper(&schema).unwrap());
+    let db: ShardedDb<LaserDb> = ShardedDb::open(
+        MemShardStorage::new_ref(),
+        options,
+        ShardedOptions::with_shards(1).maintenance_workers(2),
+    )
+    .unwrap();
+
+    let mut batch = WriteBatch::new();
+    for key in 0..ROWS {
+        batch.put(
+            key,
+            RowFragment::int_row(&schema, key as i64).encode(columns),
+        );
+        if key % 7 == 0 {
+            let update = RowFragment::from_cells(vec![(17, laser::Value::Int(-(key as i64)))]);
+            batch.put_partial(key / 2, update.encode(columns));
+        }
+        if key % 41 == 0 {
+            batch.delete(key / 3);
+        }
+        if batch.len() >= 40 {
+            db.write(&batch).unwrap();
+            batch = WriteBatch::new();
+        }
+    }
+    db.write(&batch).unwrap();
+    db.flush().unwrap();
+    db.wait_maintenance_idle();
+    db.compact_until_stable().unwrap();
+
+    // `scan(all columns)` must agree with per-key `read`, for every key.
+    let rows_matching_reads = |db: &ShardedDb<LaserDb>| {
+        let rows = db.scan(0, ROWS, &all).unwrap();
+        let mut scanned = rows.iter().peekable();
+        for key in 0..ROWS {
+            let read = db.get(key, &all).unwrap();
+            let from_scan = scanned.next_if(|(k, _)| *k == key).map(|(_, row)| row);
+            assert_eq!(from_scan, read.as_ref(), "scan and read disagree at {key}");
+        }
+        assert!(
+            scanned.next().is_none(),
+            "scan returned a key no read finds"
+        );
+        rows
+    };
+    let before = rows_matching_reads(&db);
+    assert!(before.len() as u64 > ROWS / 2);
+
+    let parent = Arc::clone(&db.shards()[0]);
+    let cg_levels = parent
+        .level_summaries()
+        .iter()
+        .filter(|level| level.column_groups.len() > 1 && level.total_bytes > 0)
+        .count();
+    assert!(cg_levels >= 2, "data must sit on several CG levels");
+    let parent_bytes = parent.total_sst_bytes();
+
+    db.split_shard(0, ROWS / 2).unwrap();
+    db.wait_maintenance_idle();
+
+    let children = db.shards();
+    assert_eq!(children.len(), 2);
+    for (index, child) in children.iter().enumerate() {
+        assert!(!child.needs_trim(), "child {index} still needs a trim");
+        let shell = laser::lsm_storage::EngineShell::stats(child);
+        assert!(shell.trimmed_entries > 0, "child {index} trimmed nothing");
+        assert!(shell.trim_compactions > 0);
+    }
+    let child_bytes: u64 = children.iter().map(|c| c.total_sst_bytes()).sum();
+    assert!(
+        child_bytes * 10 <= parent_bytes * 11,
+        "children hold {child_bytes} bytes, parent held {parent_bytes}"
+    );
+    assert_eq!(rows_matching_reads(&db), before);
 }
 
 #[test]
