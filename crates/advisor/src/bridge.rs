@@ -1,6 +1,6 @@
 //! The telemetry → advisor bridge: converts a measured
 //! [`WorkloadSnapshot`] (what a live shard's profiler observed) into the
-//! [`WorkloadTrace`](crate::WorkloadTrace) the design advisor consumes, so
+//! [`WorkloadTrace`] the design advisor consumes, so
 //! [`select_design`](crate::select_design) runs on real traffic instead of
 //! hand-written traces.
 //!

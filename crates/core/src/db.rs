@@ -32,7 +32,6 @@ use telemetry::trace::{self, TraceKind};
 
 use lsm_storage::cache::ScopedCache;
 use lsm_storage::iterator::KvIterator;
-use lsm_storage::maintenance::{BackpressureConfig, JobKind};
 use lsm_storage::shell::{
     most_overflowing_level, CompactionSink, EngineShell, Level, LevelFile, LevelFormat, ReadView,
     ShellConfig,
@@ -100,7 +99,6 @@ impl LaserDb {
         options.validate()?;
         let config = ShellConfig {
             label: "laser",
-            compaction_kind: JobKind::CgCompaction,
             num_levels: options.num_levels,
             memtable_size_bytes: options.memtable_size_bytes,
             level0_size_bytes: options.level0_size_bytes,
@@ -109,11 +107,9 @@ impl LaserDb {
             sync_wal: options.sync_wal,
             sync_wal_interval_ms: options.sync_wal_interval_ms,
             auto_compact: options.auto_compact,
-            backpressure: BackpressureConfig {
-                l0_slowdown_files: options.l0_slowdown_files,
-                l0_stall_files: options.l0_stall_files,
-                max_pending_jobs: options.max_pending_jobs,
-            },
+            l0_slowdown_files: options.l0_slowdown_files,
+            l0_stall_files: options.l0_stall_files,
+            max_pending_jobs: options.max_pending_jobs,
             recovery_adopt_bytes: options.recovery_adopt_bytes,
             table: options.table.clone(),
         };

@@ -64,9 +64,10 @@ pub type BoxedFragmentSource = Box<dyn FragmentSource + Send>;
 // RowSource: a single row-oriented run as a FragmentSource
 // ---------------------------------------------------------------------------
 
-/// Adapts a [`KvIterator`] over encoded internal keys / encoded fragments into
-/// a [`FragmentSource`]. Used for memtable snapshots and Level-0 SSTs (which
-/// store whole rows) as well as individual column-group runs.
+/// Adapts a [`KvIterator`](lsm_storage::iterator::KvIterator) over encoded
+/// internal keys / encoded fragments into a [`FragmentSource`]. Used for
+/// memtable snapshots and Level-0 SSTs (which store whole rows) as well as
+/// individual column-group runs.
 pub struct RowSource {
     iter: BoxedIterator,
     schema_columns: usize,

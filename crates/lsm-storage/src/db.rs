@@ -27,7 +27,6 @@ use crate::error::{Error, Result};
 use crate::iterator::{
     BoxedIterator, LevelConcatIterator, MergingIterator, NaiveMergingIterator, RangeIterator,
 };
-use crate::maintenance::{BackpressureConfig, JobKind};
 use crate::options::{CompactionPriority, LsmOptions};
 use crate::shell::{
     most_overflowing_level, CompactionSink, EngineShell, Level, LevelFile, LevelFormat, ShellConfig,
@@ -78,7 +77,6 @@ impl LsmDb {
         options.validate()?;
         let config = ShellConfig {
             label: "lsm",
-            compaction_kind: JobKind::Compaction,
             num_levels: options.num_levels,
             memtable_size_bytes: options.memtable_size_bytes,
             level0_size_bytes: options.level0_size_bytes,
@@ -87,11 +85,9 @@ impl LsmDb {
             sync_wal: options.sync_wal,
             sync_wal_interval_ms: options.sync_wal_interval_ms,
             auto_compact: options.auto_compact,
-            backpressure: BackpressureConfig {
-                l0_slowdown_files: options.l0_slowdown_files,
-                l0_stall_files: options.l0_stall_files,
-                max_pending_jobs: options.max_pending_jobs,
-            },
+            l0_slowdown_files: options.l0_slowdown_files,
+            l0_stall_files: options.l0_stall_files,
+            max_pending_jobs: options.max_pending_jobs,
             recovery_adopt_bytes: options.recovery_adopt_bytes,
             table: options.table.clone(),
         };

@@ -21,7 +21,7 @@
 //! * [`RangeIterator`] — a streaming visibility filter over the merge:
 //!   newest-visible-version per user key at a snapshot, exposing tombstones
 //!   to the caller (scans skip them, compactions keep them until the last
-//!   level). It never decodes an [`InternalKey`](crate::types::InternalKey)
+//!   level). It never decodes an [`InternalKey`]
 //!   per entry — the user-key, sequence and kind fields live at fixed
 //!   offsets of the 17-byte encoding and are compared as raw slices.
 //!

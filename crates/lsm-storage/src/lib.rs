@@ -9,12 +9,13 @@
 //! (crate `laser-core`) can be built on top of them:
 //!
 //! * [`skiplist`] / [`memtable`] — the in-memory write buffer.
-//! * [`wal`] — the write-ahead-log record format (per-file append/replay).
+//! * [`wal`] — the write-ahead-log record codec (encode one record, decode
+//!   the intact records of a log image), shared by the log and replication.
 //! * [`wal_segment`] — the durability subsystem on top of it: a
-//!   [`wal_segment::SegmentedWal`] that rotates one segment per memtable,
-//!   group-commits concurrent writers into shared fsyncs, tracks live
-//!   segments in the manifest and bounds recovery replay to the unflushed
-//!   tail.
+//!   [`wal_segment::SegmentedWal`] that appends encoded records to one
+//!   segment file per memtable, group-commits concurrent writers into shared
+//!   fsyncs, tracks live segments in the manifest and bounds recovery replay
+//!   to the unflushed tail.
 //! * [`block`] — data blocks with restart points and key prefix compression.
 //! * [`bloom`] — per-SST bloom filters.
 //! * [`sst`] — Sorted String Table files (data blocks + index block + bloom
@@ -29,12 +30,12 @@
 //! * [`cache`] — a sharded LRU cache of encoded data blocks, shared across
 //!   all SSTs of an engine so hot reads skip the storage backend.
 //! * [`maintenance`] — the background maintenance subsystem: a
-//!   [`maintenance::JobScheduler`] worker pool running flush/compaction jobs
-//!   off the write path, with write-side backpressure.
+//!   [`maintenance::JobScheduler`] worker pool running flush/compaction/trim
+//!   jobs off the write path, with per-engine queue depth and job counters.
 //! * [`shell`] — [`shell::EngineShell`], everything an LSM engine does that
 //!   is not a level layout (WAL pairing, memtables, flush, manifest,
-//!   compaction install, trim, replication hooks, degradation, maintenance
-//!   glue), over the `levels[level].runs[column_group].files` tree shape,
+//!   compaction install, trim, replication hooks, degradation, and the
+//!   maintenance protocol: job bodies, scheduling, write backpressure), over the `levels[level].runs[column_group].files` tree shape,
 //!   with the per-engine part behind the small [`shell::LevelFormat`] hook.
 //! * [`db`] — [`db::LsmDb`], the single-column-group case of that shell: a
 //!   plain key-value LSM engine with leveled compaction and both compaction
@@ -89,11 +90,7 @@ pub use iterator::{
     naive_visible_scan, BoxedIterator, KvIterator, LevelConcatIterator, MergingIterator,
     NaiveMergingIterator, RangeIterator, VecIterator,
 };
-pub use maintenance::{
-    attach_engine, attach_shard_engines, register_shard_engine, register_shard_engine_with,
-    BackpressureConfig, BackpressureGate, EngineMaintenance, JobKind, JobScheduler,
-    MaintainableEngine, MaintenanceHandle, SchedulerClient, Throttle,
-};
+pub use maintenance::{JobKind, JobScheduler, MaintainableEngine, SchedulerClient};
 pub use manifest::FileMeta;
 pub use memtable::{FrozenMemTable, MemTable, MemTableRef};
 pub use observability::{EngineTelemetry, WalErrorStage, WalTelemetry};

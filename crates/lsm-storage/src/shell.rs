@@ -6,10 +6,11 @@
 //! the layout with one group at every level. [`EngineShell`] is that ordinary
 //! LSM-Tree, written once: storage, the segmented WAL, the mutable and frozen
 //! memtables, sequence numbers, file-number allocation, the block-cache view,
-//! background-maintenance glue, backpressure, telemetry, the key bound and
-//! read-only degradation. The tree has the one shape both engines use on
-//! disk, `levels[level].runs[column_group].files`; the plain key-value engine
-//! ([`LsmDb`](crate::LsmDb)) is `runs.len() == 1` at every level.
+//! background maintenance (job bodies, scheduling and write backpressure),
+//! telemetry, the key bound and read-only degradation. The tree has the one
+//! shape both engines use on disk, `levels[level].runs[column_group].files`;
+//! the plain key-value engine ([`LsmDb`](crate::LsmDb)) is `runs.len() == 1`
+//! at every level.
 //!
 //! What differs per engine sits behind the small [`LevelFormat`] hook (groups
 //! per level, pick one compaction, merge it into output runs, per-commit
@@ -40,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use telemetry::trace::{self, TraceKind};
 use telemetry::Telemetry;
 
@@ -49,8 +50,7 @@ use crate::degrade::{DegradationController, DegradedInfo};
 use crate::error::{Error, Result};
 use crate::iterator::KvIterator;
 use crate::maintenance::{
-    attach_engine, BackpressureConfig, BackpressureGate, EngineMaintenance, JobKind, JobScheduler,
-    MaintainableEngine, MaintenanceHandle, Throttle,
+    JobKind, JobScheduler, MaintainableEngine, MaintenanceHandle, SchedulerClient,
 };
 use crate::manifest::{read_manifest, write_manifest, FileMeta, VersionSnapshot};
 use crate::memtable::{FrozenMemTable, MemTable, MemTableRef};
@@ -139,11 +139,12 @@ pub struct CompactionStatsSnapshot {
     pub cache_hits: u64,
     /// Block-cache misses (0 when no cache is configured).
     pub cache_misses: u64,
-    /// Background jobs completed by an attached maintenance scheduler.
+    /// This engine's background jobs completed by its maintenance scheduler
+    /// (a pool shared with other engines counts each engine separately).
     pub bg_jobs_completed: u64,
-    /// Background jobs that failed.
+    /// This engine's background jobs that failed.
     pub bg_jobs_failed: u64,
-    /// Background jobs queued or running at snapshot time.
+    /// This engine's background jobs queued or running at snapshot time.
     pub bg_jobs_pending: u64,
     /// Durability counters of the segmented write-ahead log.
     pub wal: WalStatsSnapshot,
@@ -277,13 +278,11 @@ pub fn most_overflowing_level(
 }
 
 /// What the shell reads from an engine's option struct, plus the engine's
-/// telemetry label and compaction job flavour.
+/// telemetry label.
 #[derive(Debug, Clone)]
 pub struct ShellConfig {
     /// Engine label on metrics and in logs (`"lsm"`, `"laser"`).
     pub label: &'static str,
-    /// The engine's compaction job flavour.
-    pub compaction_kind: JobKind,
     /// Number of on-disk levels.
     pub num_levels: usize,
     /// Size at which the mutable memtable is frozen and flushed, in bytes.
@@ -300,8 +299,13 @@ pub struct ShellConfig {
     pub sync_wal_interval_ms: u64,
     /// Whether the inline (no scheduler) path compacts after writes.
     pub auto_compact: bool,
-    /// Backpressure thresholds.
-    pub backpressure: BackpressureConfig,
+    /// L0 pressure (files plus frozen memtables) at which writers briefly
+    /// yield.
+    pub l0_slowdown_files: usize,
+    /// L0 pressure at which writers block until background work makes room.
+    pub l0_stall_files: usize,
+    /// This engine's pending-job depth at which writers block.
+    pub max_pending_jobs: usize,
     /// Recovery tail size at or above which sealed segments are adopted in
     /// place instead of re-logged.
     pub recovery_adopt_bytes: u64,
@@ -396,8 +400,10 @@ pub struct EngineShell {
     flush_lock: Mutex<()>,
     /// Serialises compaction and trim jobs so two never pick the same inputs.
     compaction_lock: Mutex<()>,
-    /// Writers stalled on backpressure park here; maintenance jobs notify it.
-    write_room: BackpressureGate,
+    /// Writers stalled on backpressure park on `write_room` (under
+    /// `write_room_lock`); flushes, compactions and recovery notify it.
+    write_room_lock: Mutex<()>,
+    write_room: Condvar,
     /// Pre-resolved telemetry handles; set once by
     /// [`EngineShell::attach_telemetry`]. While absent, instrumentation costs
     /// one branch per hot-path operation.
@@ -527,7 +533,8 @@ impl EngineShell {
             maintenance: OnceLock::new(),
             flush_lock: Mutex::new(()),
             compaction_lock: Mutex::new(()),
-            write_room: BackpressureGate::new(),
+            write_room_lock: Mutex::new(()),
+            write_room: Condvar::new(),
             telemetry: OnceLock::new(),
             key_bound: RwLock::new(None),
             degradation: DegradationController::new(),
@@ -556,10 +563,9 @@ impl EngineShell {
             snapshot.cache_misses = cache_stats.misses;
         }
         if let Some(handle) = self.maintenance.get() {
-            let state = handle.state();
-            snapshot.bg_jobs_completed = state.completed_jobs();
-            snapshot.bg_jobs_failed = state.failed_jobs();
-            snapshot.bg_jobs_pending = state.pending_jobs() as u64;
+            snapshot.bg_jobs_completed = handle.completed_jobs();
+            snapshot.bg_jobs_failed = handle.failed_jobs();
+            snapshot.bg_jobs_pending = handle.pending_jobs() as u64;
         }
         snapshot.wal = self.wal.stats();
         snapshot
@@ -589,7 +595,22 @@ impl EngineShell {
     ///
     /// Errors if a scheduler was already attached.
     pub fn attach_maintenance(self: &Arc<Self>, num_workers: usize) -> Result<JobScheduler> {
-        attach_engine(self, num_workers)
+        let scheduler = JobScheduler::start_pool(num_workers);
+        self.register_maintenance(&scheduler.client())?;
+        Ok(scheduler)
+    }
+
+    /// Registers this engine with an existing, possibly shared, scheduler
+    /// pool: from then on its write path enqueues flush/compaction jobs on
+    /// that pool, as with [`EngineShell::attach_maintenance`]. Queue depth,
+    /// job counters and backpressure stay per engine. A sharded deployment
+    /// registers every shard (and every replica) with one pool. Errors if a
+    /// scheduler was already attached.
+    pub fn register_maintenance(self: &Arc<Self>, client: &SchedulerClient) -> Result<()> {
+        let engine: Arc<dyn MaintainableEngine> = Arc::clone(self) as _;
+        self.maintenance
+            .set(client.register(&engine))
+            .map_err(|_| Error::invalid("a maintenance scheduler is already attached"))
     }
 
     /// Registers this engine (and its WAL) with a shared telemetry hub under
@@ -778,7 +799,7 @@ impl EngineShell {
         self.check_writable()?;
         let result = (|| {
             self.freeze_memtable()?;
-            while self.flush_frozen_one_impl()? {}
+            while self.flush_frozen_one()? {}
             Ok(())
         })();
         if let Err(e) = &result {
@@ -792,7 +813,7 @@ impl EngineShell {
     /// memtable are retired and their files deleted — recovery never replays
     /// data that already lives in the tree. Returns true if a memtable was
     /// flushed.
-    fn flush_frozen_one_impl(&self) -> Result<bool> {
+    fn flush_frozen_one(&self) -> Result<bool> {
         self.check_not_degraded()?;
         let telemetry = self.telemetry.get();
         let flush_start = telemetry.map(|_| Instant::now());
@@ -914,8 +935,8 @@ impl EngineShell {
             .pick_compaction(levels, self.maintenance.get().is_some())
     }
 
-    /// Repeatedly compacts ([`EngineMaintenance::compact_once`]) until no
-    /// level overflows.
+    /// Repeatedly compacts ([`EngineShell::compact_once`]) until no level
+    /// overflows.
     pub fn compact_until_stable(&self) -> Result<()> {
         while self.compact_once()? {}
         Ok(())
@@ -1259,7 +1280,7 @@ impl EngineShell {
 
     /// Restricts this engine to the inclusive key range `[lo, hi]`. From
     /// then on compactions drop entries outside the bound and
-    /// [`EngineMaintenance::trim_once`] can proactively rewrite SSTs that still
+    /// [`EngineShell::trim_once`] can proactively rewrite SSTs that still
     /// carry out-of-range data (files adopted by reference from a pre-split
     /// parent shard). The bound never affects reads: callers are expected to
     /// route only in-range keys at this engine.
@@ -1421,21 +1442,193 @@ impl<'a> CompactionSink<'a> {
     }
 }
 
-impl EngineMaintenance for EngineShell {
-    fn maintenance_cell(&self) -> &OnceLock<MaintenanceHandle> {
-        &self.maintenance
+// ----------------------------------------------------------------------
+// Background maintenance: the write-path protocol, the job bodies and the
+// primitives they share with the foreground API
+// ----------------------------------------------------------------------
+
+impl EngineShell {
+    /// The registered scheduler handle, if it is still accepting jobs. A
+    /// handle whose scheduler has been dropped is treated as absent so
+    /// writes fall back to inline maintenance.
+    fn active_maintenance(&self) -> Option<&MaintenanceHandle> {
+        self.maintenance.get().filter(|h| !h.is_shutdown())
     }
 
-    fn write_room(&self) -> &BackpressureGate {
-        &self.write_room
+    /// This engine's background jobs queued or running (0 without a live
+    /// scheduler).
+    pub fn pending_jobs(&self) -> usize {
+        self.active_maintenance()
+            .map_or(0, MaintenanceHandle::pending_jobs)
     }
 
-    fn backpressure_config(&self) -> BackpressureConfig {
-        self.config.backpressure
+    /// Enqueues a trim job on the attached scheduler; the job re-enqueues
+    /// itself until no SST carries out-of-range entries. Returns false when
+    /// no live scheduler is attached, leaving the caller to trim inline
+    /// ([`EngineShell::trim_once`]) or to let compactions drop the leftovers.
+    pub fn schedule_trim(&self) -> bool {
+        self.active_maintenance()
+            .is_some_and(|h| h.submit(JobKind::Trim))
     }
 
-    fn compaction_kind(&self) -> JobKind {
-        self.config.compaction_kind
+    /// Applies the two-step policy before a write: sleep briefly once L0
+    /// pressure reaches `l0_slowdown_files`, block once it reaches
+    /// `l0_stall_files` (or this engine's queue depth reaches
+    /// `max_pending_jobs`) until background work makes room. No-op without
+    /// a live scheduler: the write path then maintains the tree inline.
+    fn apply_backpressure(&self) {
+        let Some(handle) = self.active_maintenance() else {
+            return;
+        };
+        let start = Instant::now();
+        let l0 = self.l0_pressure();
+        if l0 >= self.config.l0_stall_files || handle.pending_jobs() >= self.config.max_pending_jobs
+        {
+            self.wait_for_room(handle);
+            self.stats.stall_events.fetch_add(1, Ordering::Relaxed);
+            // Telemetry histograms the wait, logs a stall event and adds a
+            // `stall_wait` retro-span to any active trace.
+            if let Some(telemetry) = self.telemetry.get() {
+                telemetry.stall_event(start.elapsed());
+            }
+        } else if l0 >= self.config.l0_slowdown_files {
+            std::thread::sleep(Duration::from_millis(1));
+            self.stats.slowdown_events.fetch_add(1, Ordering::Relaxed);
+            // Slowdown yields are brief but real: attribute them when a
+            // trace is active (no-op otherwise, off the fast path).
+            trace::retro_span("slowdown_wait", start.elapsed(), &[]);
+        }
+    }
+
+    /// Parks a stalled writer until L0 pressure and this engine's queue
+    /// depth fall below the stall thresholds. Makes sure a job that can
+    /// clear the pileup is queued, and gives up once the scheduler shuts
+    /// down or this engine's jobs keep failing.
+    fn wait_for_room(&self, handle: &MaintenanceHandle) {
+        let failed_at_entry = handle.failed_jobs();
+        let mut guard = self.write_room_lock.lock();
+        loop {
+            if handle.is_shutdown() {
+                break;
+            }
+            // A backend that keeps failing this engine's jobs will never
+            // clear the pileup; stop stalling rather than hang the writer
+            // (the failure stays visible via stats().bg_jobs_failed). Other
+            // engines' failures on a shared pool do not count.
+            if handle.failed_jobs() > failed_at_entry + 1 {
+                break;
+            }
+            if self.l0_pressure() < self.config.l0_stall_files
+                && handle.pending_jobs() < self.config.max_pending_jobs
+            {
+                break;
+            }
+            // Make sure something is scheduled that can clear the pileup: a
+            // flush if frozen memtables are the pressure, otherwise a
+            // compaction.
+            if handle.pending_jobs() == 0 {
+                let kind = if self.has_frozen_memtables() {
+                    JobKind::Flush
+                } else {
+                    JobKind::Compaction
+                };
+                // A false return here usually means another writer won the
+                // submission race (fine — a job is now pending); only a
+                // shut-down scheduler justifies giving up.
+                if !handle.submit_if_idle(kind) && handle.is_shutdown() {
+                    break;
+                }
+            }
+            self.write_room
+                .wait_for(&mut guard, Duration::from_millis(20));
+        }
+    }
+
+    /// Wakes writers parked on backpressure after maintenance made progress.
+    fn notify_write_room(&self) {
+        let _guard = self.write_room_lock.lock();
+        self.write_room.notify_all();
+    }
+
+    /// Schedules the flush of already-frozen memtables: enqueues a flush job
+    /// when a live scheduler is attached, drains them inline otherwise (a
+    /// manual `freeze_memtable()` alone leaves the frozen memtable waiting
+    /// for the next write-path trigger).
+    fn schedule_frozen_flush(&self) -> Result<()> {
+        match self.active_maintenance() {
+            Some(handle) if handle.submit(JobKind::Flush) => Ok(()),
+            // No scheduler (or it shut down between the check and the
+            // submit): drain inline instead of leaking the frozen memtable.
+            _ => {
+                while self.flush_frozen_one()? {}
+                Ok(())
+            }
+        }
+    }
+
+    /// The post-write maintenance step: with a scheduler attached, freeze a
+    /// full memtable and enqueue flush/compaction jobs; without one, drain
+    /// any leftover frozen memtables and run the synchronous path.
+    fn after_write_maintenance(&self) -> Result<()> {
+        match self.active_maintenance() {
+            Some(handle) => {
+                if self.freeze_if_full()? && !handle.submit(JobKind::Flush) {
+                    // Scheduler shut down between the check and the submit:
+                    // drain the frozen memtable inline instead of leaking it.
+                    while self.flush_frozen_one()? {}
+                }
+                if self.needs_compaction() {
+                    handle.submit_if_idle(JobKind::Compaction);
+                }
+            }
+            None => {
+                // Drain any memtables frozen before a scheduler shutdown,
+                // then run the synchronous path.
+                if self.has_frozen_memtables() {
+                    while self.flush_frozen_one()? {}
+                }
+                if self.tree.read().mutable.approximate_bytes() >= self.config.memtable_size_bytes {
+                    self.flush()?;
+                }
+                if self.config.auto_compact {
+                    while self.compact_once()? {}
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Executes one background job. Flush jobs drain the oldest frozen
+    /// memtable and chain a compaction when the tree overflows; compaction
+    /// and trim jobs run one step and re-enqueue themselves while work
+    /// remains, so a single submission settles the whole tree (or trims the
+    /// whole shard) without monopolising a worker.
+    fn run_job(&self, kind: JobKind) -> Result<()> {
+        let Some(handle) = self.maintenance.get() else {
+            return Ok(());
+        };
+        match kind {
+            JobKind::Flush => {
+                self.flush_frozen_one()?;
+                if self.needs_compaction() {
+                    handle.submit_if_idle(JobKind::Compaction);
+                }
+            }
+            JobKind::Compaction => {
+                if self.compact_once()? && self.needs_compaction() {
+                    // `submit_if_idle` would see this running job as
+                    // pending, so resubmit directly; bounded because it only
+                    // happens while a level still overflows.
+                    handle.submit(JobKind::Compaction);
+                }
+            }
+            JobKind::Trim => {
+                if self.trim_once()? && self.needs_trim() {
+                    handle.submit(JobKind::Trim);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Freezes the mutable memtable (rotating the WAL segment) when it
@@ -1450,14 +1643,10 @@ impl EngineMaintenance for EngineShell {
         self.freeze_locked(&mut tree)
     }
 
-    fn flush_frozen_one(&self) -> Result<bool> {
-        self.flush_frozen_one_impl()
-    }
-
     /// Runs a single compaction job if any level overflows. Returns `true`
     /// if work was done. Safe to call concurrently (from background workers
     /// and the foreground API): jobs are serialised internally.
-    fn compact_once(&self) -> Result<bool> {
+    pub fn compact_once(&self) -> Result<bool> {
         self.compact_with(|levels| self.pick_compaction(levels))
     }
 
@@ -1471,27 +1660,18 @@ impl EngineMaintenance for EngineShell {
         !self.tree.read().immutables.is_empty()
     }
 
+    /// L0 pressure as backpressure sees it: on-disk Level-0 files plus
+    /// frozen memtables still waiting for their flush job.
     fn l0_pressure(&self) -> usize {
         let tree = self.tree.read();
         tree.levels[0].files().count() + tree.immutables.len()
-    }
-
-    fn maybe_flush(&self) -> Result<()> {
-        if self.tree.read().mutable.approximate_bytes() >= self.config.memtable_size_bytes {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    fn auto_compact(&self) -> bool {
-        self.config.auto_compact
     }
 
     /// Rewrites one SST whose *contents* exceed the key bound, keeping only
     /// in-range entries (the file is removed outright if nothing remains).
     /// Returns true if a file was processed. No-op without a key bound.
     /// Safe to call concurrently with writes and compactions.
-    fn trim_once(&self) -> Result<bool> {
+    pub fn trim_once(&self) -> Result<bool> {
         if self.degradation.is_degraded() {
             return Ok(false);
         }
@@ -1581,7 +1761,7 @@ impl EngineMaintenance for EngineShell {
     }
 
     /// True if some SST still carries entries outside the key bound.
-    fn needs_trim(&self) -> bool {
+    pub fn needs_trim(&self) -> bool {
         let Some((lo, hi)) = self.key_bound() else {
             return false;
         };
@@ -1592,31 +1772,12 @@ impl EngineMaintenance for EngineShell {
             .flat_map(Level::files)
             .any(|f| f.table.spans_outside(lo, hi))
     }
-
-    fn record_throttle(&self, throttle: Throttle) {
-        match throttle {
-            Throttle::Stall => {
-                self.stats.stall_events.fetch_add(1, Ordering::Relaxed);
-            }
-            Throttle::Slowdown => {
-                self.stats.slowdown_events.fetch_add(1, Ordering::Relaxed);
-            }
-            Throttle::None => {}
-        }
-    }
-
-    fn record_stall_duration(&self, waited: Duration) {
-        if let Some(telemetry) = self.telemetry.get() {
-            telemetry.stall_event(waited);
-        }
-    }
 }
 
 impl MaintainableEngine for EngineShell {
-    /// Forwards to the shared [`EngineMaintenance::run_job`] protocol. A
-    /// persistent storage fault escaping a background job degrades the
-    /// engine to read-only instead of letting the pool churn against a
-    /// broken device.
+    /// Runs one flush, compaction or trim job. A persistent storage fault
+    /// escaping a background job degrades the engine to read-only instead
+    /// of letting the pool churn against a broken device.
     fn run_maintenance_job(&self, kind: JobKind) -> Result<()> {
         let result = self.run_job(kind);
         if let Err(e) = &result {

@@ -1,92 +1,33 @@
-//! Write-ahead log record format: the writer/reader for one log file.
+//! Write-ahead log record codec.
 //!
 //! Every write batch is appended to the WAL before it is applied to the
 //! memtable, so the memtable can be rebuilt after a crash (Section 2.1 of the
 //! paper: "New records are inserted into the most recent skiplist and into a
 //! write-ahead-log for durability").
 //!
-//! This module owns the *record format* and per-file append/replay; the
-//! engines drive it through [`crate::wal_segment::SegmentedWal`], which
-//! manages the segment lifecycle (one segment per memtable, group commit,
-//! manifest-tracked GC) on top of these primitives.
+//! This module owns only the *record format*; the engines drive the log
+//! through [`crate::wal_segment::SegmentedWal`], which appends encoded
+//! records to segment files and manages the segment lifecycle (one segment
+//! per memtable, group commit, manifest-tracked GC). Replication ships
+//! records in the same encoding.
 //!
 //! Record format:
 //! ```text
 //! [length: u32][masked crc32 of payload: u32][seq: u64][payload = encoded WriteBatch]
 //! ```
-//! Recovery stops at the first corrupt or truncated record (standard
+//! Decoding stops at the first corrupt or truncated record (standard
 //! behaviour: a torn tail write after a crash must not prevent recovery of the
 //! prefix).
 
-use std::sync::Arc;
-
 use crate::checksum::{crc32, mask, unmask};
 use crate::coding::{get_u32, get_u64, put_u32, put_u64};
-use crate::error::{Error, Result};
-use crate::storage::{SharedSyncHandle, StorageRef, WritableFile};
+use crate::error::Result;
 use crate::types::{SeqNo, WriteBatch};
 
 /// Header bytes per record: length (4) + crc (4) + starting sequence number (8).
 const RECORD_HEADER: usize = 16;
 
-/// Appends write batches to a log file.
-pub struct WalWriter {
-    file: Box<dyn WritableFile>,
-    /// Whether to call `sync` after every append (durability vs throughput).
-    sync_on_write: bool,
-    records_written: u64,
-}
-
-impl WalWriter {
-    /// Creates a new WAL file with the given name.
-    pub fn create(storage: &StorageRef, name: &str, sync_on_write: bool) -> Result<Self> {
-        Ok(WalWriter {
-            file: storage.create(name)?,
-            sync_on_write,
-            records_written: 0,
-        })
-    }
-
-    /// Appends a batch whose first entry has sequence number `start_seq`.
-    pub fn append(&mut self, start_seq: SeqNo, batch: &WriteBatch) -> Result<()> {
-        let payload = batch.encode();
-        let mut header = Vec::with_capacity(RECORD_HEADER);
-        put_u32(&mut header, payload.len() as u32);
-        put_u32(&mut header, mask(crc32(&payload)));
-        put_u64(&mut header, start_seq);
-        self.file.append(&header)?;
-        self.file.append(&payload)?;
-        if self.sync_on_write {
-            self.file.sync()?;
-        }
-        self.records_written += 1;
-        Ok(())
-    }
-
-    /// Forces buffered records to durable storage.
-    pub fn sync(&mut self) -> Result<()> {
-        self.file.sync()
-    }
-
-    /// A shareable fsync handle for the log file, if the backend supports
-    /// one. Lets a group-commit leader sync this log while other writers
-    /// keep appending (under the log's own locking).
-    pub fn shared_sync_handle(&self) -> Option<Arc<dyn SharedSyncHandle>> {
-        self.file.shared_sync_handle()
-    }
-
-    /// Number of records appended.
-    pub fn records_written(&self) -> u64 {
-        self.records_written
-    }
-
-    /// Current log size in bytes.
-    pub fn size(&self) -> u64 {
-        self.file.len()
-    }
-}
-
-/// A recovered WAL record.
+/// A decoded WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
     /// Sequence number of the first entry in the batch.
@@ -104,9 +45,10 @@ impl WalRecord {
     }
 }
 
-/// Encodes one record exactly as [`WalWriter::append`] lays it out on disk:
-/// `[len][masked crc][start_seq][payload]`. Replication ships live-tail
-/// records in this form so both ends share one codec with the log itself.
+/// Encodes one record exactly as it lies on disk:
+/// `[len][masked crc][start_seq][payload]`. The segment writer appends this
+/// image, and replication ships live-tail records in it, so both ends share
+/// one codec with the log itself.
 pub fn encode_record(start_seq: SeqNo, batch: &WriteBatch) -> Vec<u8> {
     let payload = batch.encode();
     let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
@@ -149,37 +91,10 @@ pub fn decode_records(data: &[u8]) -> Result<(Vec<WalRecord>, bool, u64)> {
     Ok((records, clean, pos as u64))
 }
 
-/// Reads back every intact record of a WAL file.
-///
-/// Returns the records recovered before the first corruption/truncation and a
-/// flag saying whether the log ended cleanly (`true`) or a damaged tail was
-/// discarded (`false`).
-pub fn recover(storage: &StorageRef, name: &str) -> Result<(Vec<WalRecord>, bool)> {
-    let (records, clean, _) = recover_detailed(storage, name)?;
-    Ok((records, clean))
-}
-
-/// Like [`recover`], but also reports the byte length of the intact prefix
-/// (what an in-place segment adoption would keep).
-pub fn recover_detailed(storage: &StorageRef, name: &str) -> Result<(Vec<WalRecord>, bool, u64)> {
-    let file = storage.open(name)?;
-    let data = file.read_all()?;
-    decode_records(&data)
-}
-
-/// Deletes a WAL file, ignoring not-found errors.
-pub fn remove(storage: &StorageRef, name: &str) -> Result<()> {
-    match storage.delete(name) {
-        Ok(()) => Ok(()),
-        Err(Error::NotFound(_)) => Ok(()),
-        Err(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemStorage;
+    use crate::storage::{MemStorage, StorageRef};
 
     fn batch(keys: &[u64]) -> WriteBatch {
         let mut b = WriteBatch::new();
@@ -189,95 +104,77 @@ mod tests {
         b
     }
 
-    #[test]
-    fn write_and_recover() {
+    /// Writes `records` to a fresh log file record by record, as the segment
+    /// writer does, and reads the file back.
+    fn write_log(records: &[(SeqNo, WriteBatch)]) -> Vec<u8> {
         let storage: StorageRef = MemStorage::new_ref();
         {
-            let mut w = WalWriter::create(&storage, "wal-1", true).unwrap();
-            w.append(1, &batch(&[1, 2, 3])).unwrap();
-            w.append(4, &batch(&[4])).unwrap();
-            w.append(5, &batch(&[5, 6])).unwrap();
-            assert_eq!(w.records_written(), 3);
-            assert!(w.size() > 0);
+            let mut file = storage.create("wal-test").unwrap();
+            for (seq, batch) in records {
+                file.append(&encode_record(*seq, batch)).unwrap();
+            }
+            file.sync().unwrap();
         }
-        let (records, clean) = recover(&storage, "wal-1").unwrap();
+        storage.open("wal-test").unwrap().read_all().unwrap()
+    }
+
+    #[test]
+    fn write_and_recover() {
+        let data = write_log(&[
+            (1, batch(&[1, 2, 3])),
+            (4, batch(&[4])),
+            (5, batch(&[5, 6])),
+        ]);
+        let (records, clean, intact) = decode_records(&data).unwrap();
         assert!(clean);
+        assert_eq!(intact, data.len() as u64);
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].start_seq, 1);
         assert_eq!(records[0].batch.len(), 3);
         assert_eq!(records[2].start_seq, 5);
         assert_eq!(records[2].batch.len(), 2);
+        assert_eq!(records[2].end_seq(), 6);
     }
 
     #[test]
     fn empty_wal_recovers_cleanly() {
-        let storage: StorageRef = MemStorage::new_ref();
-        WalWriter::create(&storage, "wal-empty", false).unwrap();
-        let (records, clean) = recover(&storage, "wal-empty").unwrap();
+        let (records, clean, intact) = decode_records(&write_log(&[])).unwrap();
         assert!(records.is_empty());
         assert!(clean);
+        assert_eq!(intact, 0);
     }
 
     #[test]
     fn torn_tail_is_discarded() {
-        let storage: StorageRef = MemStorage::new_ref();
-        {
-            let mut w = WalWriter::create(&storage, "wal-torn", true).unwrap();
-            w.append(1, &batch(&[1])).unwrap();
-            w.append(2, &batch(&[2])).unwrap();
-        }
-        // Truncate the file mid-way through the second record.
-        let full = storage.open("wal-torn").unwrap().read_all().unwrap();
-        let mut f = storage.create("wal-torn").unwrap();
-        f.append(&full[..full.len() - 3]).unwrap();
-        let (records, clean) = recover(&storage, "wal-torn").unwrap();
+        let data = write_log(&[(1, batch(&[1])), (2, batch(&[2]))]);
+        // Truncate the image mid-way through the second record.
+        let (records, clean, intact) = decode_records(&data[..data.len() - 3]).unwrap();
         assert_eq!(records.len(), 1, "only the intact prefix is recovered");
         assert!(!clean);
+        assert_eq!(intact, encode_record(1, &batch(&[1])).len() as u64);
     }
 
     #[test]
     fn corrupt_payload_is_discarded() {
-        let storage: StorageRef = MemStorage::new_ref();
-        {
-            let mut w = WalWriter::create(&storage, "wal-corrupt", true).unwrap();
-            w.append(1, &batch(&[1])).unwrap();
-            w.append(2, &batch(&[2])).unwrap();
-        }
-        let mut full = storage.open("wal-corrupt").unwrap().read_all().unwrap();
+        let mut data = write_log(&[(1, batch(&[1])), (2, batch(&[2]))]);
         // Flip a byte in the payload of the first record.
-        let idx = RECORD_HEADER + 1;
-        full[idx] ^= 0xFF;
-        let mut f = storage.create("wal-corrupt").unwrap();
-        f.append(&full).unwrap();
-        let (records, clean) = recover(&storage, "wal-corrupt").unwrap();
+        data[RECORD_HEADER + 1] ^= 0xFF;
+        let (records, clean, intact) = decode_records(&data).unwrap();
         assert!(
             records.is_empty(),
             "corruption in the first record discards everything after it"
         );
         assert!(!clean);
-    }
-
-    #[test]
-    fn remove_is_idempotent() {
-        let storage: StorageRef = MemStorage::new_ref();
-        WalWriter::create(&storage, "wal-x", false).unwrap();
-        remove(&storage, "wal-x").unwrap();
-        remove(&storage, "wal-x").unwrap();
-        assert!(!storage.exists("wal-x"));
+        assert_eq!(intact, 0);
     }
 
     #[test]
     fn batches_preserve_kinds() {
-        let storage: StorageRef = MemStorage::new_ref();
-        {
-            let mut w = WalWriter::create(&storage, "wal-kinds", true).unwrap();
-            let mut b = WriteBatch::new();
-            b.put(1, vec![1]);
-            b.put_partial(2, vec![2]);
-            b.delete(3);
-            w.append(10, &b).unwrap();
-        }
-        let (records, _) = recover(&storage, "wal-kinds").unwrap();
+        let mut b = WriteBatch::new();
+        b.put(1, vec![1]);
+        b.put_partial(2, vec![2]);
+        b.delete(3);
+        let (records, _, _) = decode_records(&write_log(&[(10, b)])).unwrap();
         let entries: Vec<_> = records[0].batch.iter().cloned().collect();
         use crate::types::ValueKind::*;
         assert_eq!(entries[0].kind, Full);

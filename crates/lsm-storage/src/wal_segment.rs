@@ -1,9 +1,9 @@
 //! Segmented write-ahead log with group commit.
 //!
-//! The original [`crate::wal`] module kept every buffered write in a single
-//! log file that could only be truncated once *all* buffered writes were
-//! flushed — under sustained ingest the log grew without bound and recovery
-//! replay time grew with it. This module bounds both, RocksDB-style:
+//! Records use the [`crate::wal`] codec. A single log file could only be
+//! truncated once *all* buffered writes were flushed — under sustained
+//! ingest it would grow without bound and recovery replay time with it.
+//! This module bounds both, RocksDB-style:
 //!
 //! * **One segment per memtable.** The engine rotates to a fresh, numbered
 //!   segment (`wal-00000017.log`) every time it freezes the mutable memtable.
@@ -64,9 +64,9 @@ use telemetry::Telemetry;
 use crate::coding::{put_u64, put_varint64, Decoder};
 use crate::error::{Error, Result};
 use crate::observability::{WalErrorStage, WalTelemetry};
-use crate::storage::{SharedSyncHandle, StorageRef};
+use crate::storage::{SharedSyncHandle, StorageRef, WritableFile};
 use crate::types::{SeqNo, WriteBatch};
-use crate::wal::{decode_records, recover_detailed, WalRecord, WalWriter};
+use crate::wal::{decode_records, encode_record, WalRecord};
 
 /// Prefix of WAL segment file names.
 pub const SEGMENT_PREFIX: &str = "wal-";
@@ -282,7 +282,7 @@ impl WalStatsSnapshot {
 
 struct ActiveSegment {
     meta: WalSegmentMeta,
-    writer: WalWriter,
+    file: Box<dyn WritableFile>,
     /// Shareable fsync handle of the segment file (None when the backend
     /// cannot duplicate handles; syncing then falls back to holding the
     /// append mutex across the fsync).
@@ -291,14 +291,25 @@ struct ActiveSegment {
 
 impl ActiveSegment {
     fn create(storage: &StorageRef, meta: WalSegmentMeta) -> Result<Self> {
-        let writer = WalWriter::create(storage, &meta.file_name(), false)?;
-        let sync_handle = writer.shared_sync_handle();
+        let file = storage.create(&meta.file_name())?;
+        let sync_handle = file.shared_sync_handle();
         Ok(ActiveSegment {
             meta,
-            writer,
+            file,
             sync_handle,
         })
     }
+
+    /// Appends one encoded record (no fsync).
+    fn append(&mut self, start_seq: SeqNo, batch: &WriteBatch) -> Result<()> {
+        self.file.append(&encode_record(start_seq, batch))
+    }
+}
+
+/// Reads a WAL file and decodes its intact records (see
+/// [`decode_records`]).
+fn replay_file(storage: &StorageRef, name: &str) -> Result<(Vec<WalRecord>, bool, u64)> {
+    decode_records(&storage.open(name)?.read_all()?)
 }
 
 struct SealedSegment {
@@ -467,7 +478,7 @@ impl SegmentedWal {
         // Legacy single-file WALs predate every segment: replay them first.
         for name in legacy_names {
             if storage.exists(name) {
-                let (records, clean, bytes) = recover_detailed(storage, name)?;
+                let (records, clean, bytes) = replay_file(storage, name)?;
                 stats
                     .records_replayed
                     .fetch_add(records.len() as u64, Ordering::Relaxed);
@@ -512,7 +523,7 @@ impl SegmentedWal {
                 // retired it completed. Nothing to replay.
                 continue;
             }
-            let (records, clean, bytes) = recover_detailed(storage, &name)?;
+            let (records, clean, bytes) = replay_file(storage, &name)?;
             stats
                 .records_replayed
                 .fetch_add(records.len() as u64, Ordering::Relaxed);
@@ -591,7 +602,7 @@ impl SegmentedWal {
     pub fn append(&self, start_seq: SeqNo, batch: &WriteBatch) -> Result<WalTicket> {
         let mut inner = self.inner.lock();
         self.ensure_writable(&mut inner)?;
-        if let Err(e) = inner.active.writer.append(start_seq, batch) {
+        if let Err(e) = inner.active.append(start_seq, batch) {
             inner.damaged = true;
             self.note_error(WalErrorStage::Append);
             // Try to heal immediately: re-stage the intact prefix into a
@@ -601,7 +612,7 @@ impl SegmentedWal {
             if self.recover_in_place(&mut inner).is_err() {
                 return Err(e);
             }
-            if let Err(retry_err) = inner.active.writer.append(start_seq, batch) {
+            if let Err(retry_err) = inner.active.append(start_seq, batch) {
                 inner.damaged = true;
                 self.note_error(WalErrorStage::Append);
                 return Err(retry_err);
@@ -650,7 +661,7 @@ impl SegmentedWal {
                     .records_restaged
                     .fetch_add(restaged as u64, Ordering::Relaxed);
                 if let Some(telemetry) = self.telemetry.get() {
-                    telemetry.rotation_event(start.elapsed(), inner.active.writer.size());
+                    telemetry.rotation_event(start.elapsed(), inner.active.file.len());
                 }
                 Ok(())
             }
@@ -680,9 +691,9 @@ impl SegmentedWal {
             },
         )?;
         for record in &records {
-            fresh.writer.append(record.start_seq, &record.batch)?;
+            fresh.append(record.start_seq, &record.batch)?;
         }
-        fresh.writer.sync()?;
+        fresh.file.sync()?;
         // Truncate the damaged file: a torn tail left on disk would halt
         // replay of every later segment if we crashed before the manifest
         // stops listing it. An empty file replays clean; the id is retired
@@ -814,7 +825,7 @@ impl SegmentedWal {
     fn sync_locked(&self, inner: &mut WalInner, target: u64) -> Result<()> {
         let telemetry = self.telemetry.get();
         let fsync_start = telemetry.map(|_| Instant::now());
-        if let Err(e) = inner.active.writer.sync() {
+        if let Err(e) = inner.active.file.sync() {
             // An fsync failure leaves the on-disk state of every record since
             // the last successful sync unknown. Recover in place: decode the
             // intact prefix, re-stage it into a fresh fsynced segment. If
@@ -864,7 +875,7 @@ impl SegmentedWal {
         };
         let old = std::mem::replace(&mut inner.active, new_active);
         let sealed_id = old.meta.id;
-        let sealed_bytes = old.writer.size();
+        let sealed_bytes = old.file.len();
         inner.sealed.push(SealedSegment {
             meta: old.meta,
             bytes: sealed_bytes,
@@ -1152,7 +1163,7 @@ impl SegmentedWal {
             let inner = self.inner.lock();
             (
                 inner.sealed.len() as u64 + 1,
-                inner.sealed.iter().map(|s| s.bytes).sum::<u64>() + inner.active.writer.size(),
+                inner.sealed.iter().map(|s| s.bytes).sum::<u64>() + inner.active.file.len(),
             )
         };
         WalStatsSnapshot {
@@ -1182,7 +1193,7 @@ impl Drop for SegmentedWal {
     fn drop(&mut self) {
         let inner = self.inner.get_mut();
         if !inner.damaged {
-            if let Err(_e) = inner.active.writer.sync() {
+            if let Err(_e) = inner.active.file.sync() {
                 // Nothing left to retry against — the log is going away — but
                 // a swallowed final-sync error must still be visible to
                 // operators.
@@ -1383,8 +1394,8 @@ mod tests {
     fn legacy_wal_is_migrated() {
         let storage: StorageRef = MemStorage::new_ref();
         {
-            let mut legacy = WalWriter::create(&storage, "wal-current.log", false).unwrap();
-            legacy.append(1, &batch(&[1, 2])).unwrap();
+            let mut legacy = storage.create("wal-current.log").unwrap();
+            legacy.append(&encode_record(1, &batch(&[1, 2]))).unwrap();
         }
         let (wal, recovery) =
             SegmentedWal::open(&storage, WalSyncPolicy::Never, &[], &["wal-current.log"], 3)

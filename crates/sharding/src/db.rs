@@ -33,13 +33,13 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use lsm_storage::cache::{BlockCache, BlockCacheStats, ScopeId, ScopedCache};
-use lsm_storage::maintenance::{register_shard_engine, JobKind, JobScheduler};
+use lsm_storage::maintenance::JobScheduler;
 use lsm_storage::manifest::{read_manifest, write_manifest, VersionSnapshot};
 use lsm_storage::observability::OpTrace;
 use lsm_storage::storage::IoStatsSnapshot;
 use lsm_storage::types::{SeqNo, UserKey, WriteBatch, MAX_SEQNO};
 use lsm_storage::wal_segment::WalStatsSnapshot;
-use lsm_storage::{EngineMaintenance, Error, Result};
+use lsm_storage::{Error, Result};
 use telemetry::trace::{self, TraceContext, TraceKind, ROOT_SPAN_ID};
 use telemetry::{
     Event, EventKind, Gauge, Histogram, Telemetry, WorkloadProfiler, WorkloadSnapshot,
@@ -520,7 +520,7 @@ impl<E: ShardEngine> ShardedDb<E> {
         let scheduler = if options.maintenance_workers > 0 {
             let scheduler = JobScheduler::start_pool(options.maintenance_workers);
             for shard in &shards {
-                register_shard_engine(&scheduler, &**shard.engine)?;
+                shard.engine.register_maintenance(&scheduler.client())?;
             }
             Some(scheduler)
         } else {
@@ -547,7 +547,7 @@ impl<E: ShardEngine> ShardedDb<E> {
                             failpoint,
                         )?;
                         if let Some(scheduler) = &scheduler {
-                            register_shard_engine(scheduler, &**replica.engine)?;
+                            replica.engine.register_maintenance(&scheduler.client())?;
                         }
                         replicas.push(replica);
                     }
@@ -1627,7 +1627,7 @@ impl<E: ShardEngine> ShardedDb<E> {
                 engine.attach_telemetry(&telemetry.hub, &slot.to_string());
             }
             if let Some(scheduler) = &self.scheduler {
-                register_shard_engine(scheduler, &**engine)?;
+                engine.register_maintenance(&scheduler.client())?;
             }
             let profiler = OnceLock::new();
             if let Some(telemetry) = telemetry {
@@ -1695,12 +1695,8 @@ impl<E: ShardEngine> ShardedDb<E> {
         // into a full shard rewrite (ordinary compactions under the key
         // bound drop the leftovers over time anyway).
         for child in &children {
-            match child.engine.maintenance_cell().get() {
-                Some(handle) => {
-                    handle.submit(JobKind::Trim);
-                }
-                None if inline_trim => while child.engine.trim_once()? {},
-                None => {}
+            if !child.engine.schedule_trim() && inline_trim {
+                while child.engine.trim_once()? {}
             }
         }
         Ok(())
@@ -1736,11 +1732,7 @@ impl<E: ShardEngine> ShardedDb<E> {
                     .map(|f| f.file_size)
                     .sum::<u64>();
             let ingested = shard.ingested_bytes.load(Ordering::Relaxed);
-            let pending = shard
-                .engine
-                .maintenance_cell()
-                .get()
-                .map_or(0, |h| h.pending_jobs());
+            let pending = shard.engine.pending_jobs();
             let triggered = (policy.max_resident_bytes > 0
                 && resident >= policy.max_resident_bytes)
                 || (policy.max_ingest_bytes > 0 && ingested >= policy.max_ingest_bytes)
@@ -2085,10 +2077,7 @@ impl<E: ShardEngine> ShardedDb<E> {
 /// Blocks until `engine` has no background job queued or running (engines
 /// whose scheduler has shut down report idle immediately).
 fn wait_shard_idle<E: ShardEngine>(engine: &Arc<E>) {
-    while let Some(handle) = engine.maintenance_cell().get() {
-        if handle.is_shutdown() || handle.pending_jobs() == 0 {
-            break;
-        }
+    while engine.pending_jobs() > 0 {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
 }

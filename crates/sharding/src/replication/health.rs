@@ -15,7 +15,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use lsm_storage::maintenance::register_shard_engine_with;
 use lsm_storage::observability::OpTrace;
 use telemetry::trace::TraceKind;
 use telemetry::{EventKind, Gauge, Telemetry};
@@ -243,7 +242,7 @@ fn reprovision_missing<E: ShardEngine>(
         Err(_) => return,
     };
     if let Some(scheduler) = &ctx.scheduler {
-        let _ = register_shard_engine_with(scheduler, &**replica.engine);
+        let _ = replica.engine.register_maintenance(scheduler);
     }
     if let Some(hub) = telemetry {
         replica

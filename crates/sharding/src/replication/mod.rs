@@ -360,7 +360,7 @@ pub struct ReplicationState<E: ShardEngine> {
     /// Telemetry hub, once attached.
     pub telemetry: OnceLock<Arc<Telemetry>>,
     /// Context for automatic replica re-provisioning, set at open. Absent in
-    /// unit harnesses that drive [`health::monitor_tick`] without a
+    /// unit harnesses that drive `health::monitor_tick` without a
     /// provider; re-provisioning is then skipped.
     pub reprovision: OnceLock<ReprovisionContext<E>>,
     /// Replicas re-provisioned since open (observability and tests).

@@ -135,9 +135,11 @@ pub struct ExpositionSample {
     pub value: f64,
 }
 
-/// Parses text produced by [`prometheus_text`] back into samples, skipping
-/// comment lines. Returns `None` on any malformed sample line — good enough
-/// for round-trip validation of our own exposition, not a general parser.
+/// Parses text produced by
+/// [`Telemetry::prometheus_text`](crate::Telemetry::prometheus_text) back
+/// into samples, skipping comment lines. Returns `None` on any malformed
+/// sample line — good enough for round-trip validation of our own
+/// exposition, not a general parser.
 pub fn parse_prometheus_text(text: &str) -> Option<Vec<ExpositionSample>> {
     let mut samples = Vec::new();
     for line in text.lines() {

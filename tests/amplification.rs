@@ -6,7 +6,7 @@
 
 use laser::laser_core::{LaserDb, LaserOptions, LayoutSpec, RowFragment, Schema};
 use laser::laser_sharding::ShardEngine;
-use laser::lsm_storage::{EngineMaintenance, LsmDb, LsmOptions};
+use laser::lsm_storage::{LsmDb, LsmOptions};
 
 /// Options small enough that a few thousand keys span several flushes.
 fn lsm_options() -> LsmOptions {

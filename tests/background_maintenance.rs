@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use laser::lsm_storage::{LsmDb, LsmOptions};
+use laser::lsm_storage::{JobScheduler, LsmDb, LsmOptions};
 use laser::{LaserDb, LaserOptions, LayoutSpec, Projection, Schema, Value};
 
 fn lsm_options() -> LsmOptions {
@@ -269,4 +269,29 @@ fn foreground_apis_still_work_with_scheduler_attached() {
     for key in 0..300u64 {
         assert_eq!(db.get(key).unwrap(), Some(vec![1u8; 32]));
     }
+}
+
+#[test]
+fn engines_sharing_a_pool_count_only_their_own_jobs() {
+    let scheduler = JobScheduler::start_pool(1);
+    let a = Arc::new(LsmDb::open_in_memory(lsm_options()).unwrap());
+    let b = Arc::new(LsmDb::open_in_memory(lsm_options()).unwrap());
+    a.register_maintenance(&scheduler.client()).unwrap();
+    b.register_maintenance(&scheduler.client()).unwrap();
+    for key in 0..400u64 {
+        a.put(key, vec![2u8; 64]).unwrap();
+    }
+    scheduler.wait_idle();
+    let (a_stats, b_stats) = (a.stats(), b.stats());
+    assert!(a_stats.flushes > 0, "{a_stats:?}");
+    assert!(a_stats.bg_jobs_completed > 0, "{a_stats:?}");
+    assert_eq!(
+        b_stats.bg_jobs_completed, 0,
+        "an idle engine must not report the shared pool's jobs: {b_stats:?}"
+    );
+    assert_eq!(
+        scheduler.state().completed_jobs(),
+        a_stats.bg_jobs_completed,
+        "the pool totals every engine's jobs"
+    );
 }

@@ -13,7 +13,7 @@ use laser::laser_sharding::manifest::{read_split_intent, write_split_intent, Spl
 use laser::laser_sharding::{MemShardStorage, ShardStorageProvider, ShardedDb, ShardedOptions};
 use laser::lsm_storage::cache::ENTRY_OVERHEAD;
 use laser::lsm_storage::types::WriteBatch;
-use laser::lsm_storage::{BlockCache, EngineMaintenance, LsmDb, LsmOptions, TableOptions};
+use laser::lsm_storage::{BlockCache, LsmDb, LsmOptions, TableOptions};
 use laser::{
     DirShardStorage, LaserDb, LaserOptions, LayoutSpec, Projection, RowFragment, Schema,
     SplitFailpoint, SplitPolicy,
